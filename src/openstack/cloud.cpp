@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "common/parallel.h"
 #include "telemetry/telemetry.h"
 
 namespace uniserver::osk {
@@ -70,6 +71,8 @@ Cloud::Cloud(const CloudConfig& config,
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     slot_index_[nodes_[i].get()] = static_cast<int>(i);
   }
+  outboxes_.resize(nodes_.size());
+  tick_in_fold_.assign(nodes_.size(), 0);
   engine_->bind(node_ptrs());
   wire_monitoring();
 }
@@ -140,6 +143,7 @@ void Cloud::inject_daemon_restart(int node_index) {
   // The restarted daemon begins from an empty logfile, so the predictor
   // history built from its stream restarts too.
   node->hypervisor().healthlog().clear();
+  outboxes_[static_cast<std::size_t>(node_index)].errors.clear();
   predictor_.reset(node->name());
 }
 
@@ -210,12 +214,13 @@ MigrationOrchestrator::Callbacks Cloud::orchestrator_callbacks() {
 
 void Cloud::wire_monitoring() {
   // Every node's HealthLog error stream feeds the cloud-level failure
-  // predictor (the paper's extended monitoring interface, §2(iv)).
-  for (auto& node : nodes_) {
-    const std::string name = node->name();
-    node->hypervisor().healthlog().subscribe_errors(
-        [this, name](const daemons::ErrorEvent& event) {
-          predictor_.observe(name, event);
+  // predictor (the paper's extended monitoring interface, §2(iv)). The
+  // events queue in the node's outbox — the stream fires inside the
+  // forked tick — and reach the predictor in the fold.
+  for (std::size_t slot = 0; slot < nodes_.size(); ++slot) {
+    nodes_[slot]->hypervisor().healthlog().subscribe_errors(
+        [this, slot](const daemons::ErrorEvent& event) {
+          outboxes_[slot].errors.push_back(event);
         });
   }
 }
@@ -378,55 +383,93 @@ void Cloud::mark_lost(std::uint64_t vm_id, bool node_crash) {
 }
 
 void Cloud::tick_nodes(Seconds window) {
-  for (auto& node : nodes_) {
-    const bool was_up = node->up();
-    const ComputeNode::NodeTick result = node->tick(now_, window);
-    if (result.crashed || !result.vms_lost.empty() ||
-        was_up != node->up()) {
-      engine_->node_changed(node.get());
+  // The fork ticks every node into its outbox; the fold applies the
+  // outboxes in slot order. Only one fold reaches another node's tick:
+  // a post-copy VM runs on its destination while its pages drain from
+  // the source, and a source crash makes the source's fold remove the
+  // VM from the destination (lose_postcopy). Post-copy destinations
+  // therefore tick inside the fold, at their own slot, after every
+  // earlier slot has folded.
+  std::fill(tick_in_fold_.begin(), tick_in_fold_.end(), 0);
+  for (const auto& [vm_id, ticket] : orchestrator_.tickets()) {
+    if (ticket.phase != MigrationPhase::kPostCopy) continue;
+    tick_in_fold_[static_cast<std::size_t>(slot_index_.at(ticket.dest))] = 1;
+  }
+  par::parallel_for_each(nodes_.size(), [this, window](std::size_t slot) {
+    if (tick_in_fold_[slot] == 0) tick_node(slot, window);
+  });
+  for (std::size_t slot = 0; slot < nodes_.size(); ++slot) {
+    if (tick_in_fold_[slot] != 0) tick_node(slot, window);
+    fold_node(slot);
+  }
+}
+
+void Cloud::tick_node(std::size_t slot, Seconds window) {
+  NodeOutbox& box = outboxes_[slot];
+  const telemetry::TraceCapture capture(box.traces);
+  box.was_up = nodes_[slot]->up();
+  box.tick = nodes_[slot]->tick(now_, window);
+}
+
+void Cloud::fold_node(std::size_t slot) {
+  ComputeNode* node = nodes_[slot].get();
+  NodeOutbox& box = outboxes_[slot];
+  // The tick's own traces and error events come first, as when each
+  // node's tick ran immediately before its fold.
+  for (telemetry::TraceEvent& event : box.traces) {
+    telemetry::TraceBuffer::global().record(std::move(event));
+  }
+  box.traces.clear();
+  for (const daemons::ErrorEvent& event : box.errors) {
+    predictor_.observe(node->name(), event);
+  }
+  box.errors.clear();
+
+  const bool was_up = box.was_up;
+  const ComputeNode::NodeTick& result = box.tick;
+  if (result.crashed || !result.vms_lost.empty() || was_up != node->up()) {
+    engine_->node_changed(node);
+  }
+  stats_.total_energy_kwh += result.energy.kwh();
+  // Fine-grained VM monitoring: one sample per resident VM per tick,
+  // with this tick's survivable-SDC hits attributed per VM.
+  for (const auto& [id, vm] : node->hypervisor().vms()) {
+    VmSample sample;
+    sample.timestamp = now_;
+    sample.cpu_utilization = vm.workload.activity;
+    sample.memory_mb = vm.memory_mb;
+    sample.error_events = static_cast<std::uint64_t>(std::count(
+        result.vms_hit.begin(), result.vms_hit.end(), id));
+    monitor_.record(id, sample);
+  }
+  if (result.crashed) {
+    ++stats_.node_crash_events;
+    metrics().node_crashes.add();
+    telemetry::trace(now_, "cloud", "node_crash",
+                     {{"node", node->name()},
+                      {"vms_lost", std::to_string(result.vms_lost.size())}});
+    orchestrator_.on_node_down(node, now_);
+    for (std::uint64_t id : result.vms_lost) mark_lost(id, true);
+  } else {
+    for (std::uint64_t id : result.vms_lost) {
+      // An SDC killed the VM in place; fold its migration if any.
+      orchestrator_.cancel_vm(id, now_);
+      mark_lost(id, false);
     }
-    stats_.total_energy_kwh += result.energy.kwh();
-    // Fine-grained VM monitoring: one sample per resident VM per tick,
-    // with this tick's survivable-SDC hits attributed per VM.
-    for (const auto& [id, vm] : node->hypervisor().vms()) {
-      VmSample sample;
-      sample.timestamp = now_;
-      sample.cpu_utilization = vm.workload.activity;
-      sample.memory_mb = vm.memory_mb;
-      sample.error_events = static_cast<std::uint64_t>(std::count(
-          result.vms_hit.begin(), result.vms_hit.end(), id));
-      monitor_.record(id, sample);
+  }
+  // Repair completed this tick: clear the node's log history.
+  if (!was_up && node->up()) predictor_.reset(node->name());
+  if (serve_) {
+    // Fault-path dispatch stalls: a checkpoint restore pauses the
+    // guest for the restore time, a survivable SDC hit costs a
+    // shorter glitch. Both land at the window edge and gate the
+    // VM's next dispatches — this is where EOP aggressiveness
+    // (more hits, more restores) fattens the latency tail.
+    for (std::uint64_t id : result.vms_restored) {
+      serve_->add_stall(id, now_, config_.serve.restore_stall);
     }
-    if (result.crashed) {
-      ++stats_.node_crash_events;
-      metrics().node_crashes.add();
-      telemetry::trace(now_, "cloud", "node_crash",
-                       {{"node", node->name()},
-                        {"vms_lost",
-                         std::to_string(result.vms_lost.size())}});
-      orchestrator_.on_node_down(node.get(), now_);
-      for (std::uint64_t id : result.vms_lost) mark_lost(id, true);
-    } else {
-      for (std::uint64_t id : result.vms_lost) {
-        // An SDC killed the VM in place; fold its migration if any.
-        orchestrator_.cancel_vm(id, now_);
-        mark_lost(id, false);
-      }
-    }
-    // Repair completed this tick: clear the node's log history.
-    if (!was_up && node->up()) predictor_.reset(node->name());
-    if (serve_) {
-      // Fault-path dispatch stalls: a checkpoint restore pauses the
-      // guest for the restore time, a survivable SDC hit costs a
-      // shorter glitch. Both land at the window edge and gate the
-      // VM's next dispatches — this is where EOP aggressiveness
-      // (more hits, more restores) fattens the latency tail.
-      for (std::uint64_t id : result.vms_restored) {
-        serve_->add_stall(id, now_, config_.serve.restore_stall);
-      }
-      for (std::uint64_t id : result.vms_hit) {
-        serve_->add_stall(id, now_, config_.serve.hit_stall);
-      }
+    for (std::uint64_t id : result.vms_hit) {
+      serve_->add_stall(id, now_, config_.serve.hit_stall);
     }
   }
 }

@@ -20,6 +20,7 @@
 #include "openstack/node.h"
 #include "openstack/scheduler.h"
 #include "serve/serve.h"
+#include "telemetry/trace.h"
 #include "trace/arrivals.h"
 
 namespace uniserver::osk {
@@ -208,11 +209,30 @@ class Cloud {
     Seconds departs_at{Seconds{0.0}};
   };
 
+  /// One node's share of a control-loop tick. The fork writes it from
+  /// that node's tick alone; the fold reads it serially in slot order.
+  struct NodeOutbox {
+    bool was_up{true};
+    ComputeNode::NodeTick tick;
+    /// The node's HealthLog error stream, bound for the predictor.
+    std::vector<daemons::ErrorEvent> errors;
+    /// Trace events the node's hypervisor and HealthLog emitted.
+    std::vector<telemetry::TraceEvent> traces;
+  };
+
   void wire_monitoring();
   MigrationOrchestrator::Callbacks orchestrator_callbacks();
   void handle_arrival(const trace::VmRequest& request);
   void handle_departures();
+  /// Fork/fold node tick: every node ticks into its outbox across the
+  /// worker pool, then the outboxes fold into the shared control-plane
+  /// state in slot order — bit-identical to ticking the nodes one by
+  /// one, for any --jobs (docs/API.md, "Threading model").
   void tick_nodes(Seconds window);
+  /// Fork body: ticks one node; touches only that node and its outbox.
+  void tick_node(std::size_t slot, Seconds window);
+  /// Fold: applies one node's outbox to the shared state.
+  void fold_node(std::size_t slot);
   void update_reliability();
   void proactive_evacuation();
   /// Submits one migration ticket per resident VM (susceptibility
@@ -232,6 +252,10 @@ class Cloud {
   std::unique_ptr<PlacementEngine> engine_;
   /// Fleet slot by node pointer: O(1) rack_of and decision logging.
   std::unordered_map<const ComputeNode*, int> slot_index_;
+  std::vector<NodeOutbox> outboxes_;
+  /// Per slot: tick inside the fold rather than the fork (see
+  /// tick_nodes). Reused across ticks.
+  std::vector<std::uint8_t> tick_in_fold_;
   LogFailurePredictor predictor_;
   VmMonitor monitor_;
   MigrationOrchestrator orchestrator_;

@@ -11,8 +11,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "common/units.h"
@@ -72,11 +71,21 @@ class VmMonitor {
   /// VM ids sorted most-susceptible-first (evacuation order).
   std::vector<std::uint64_t> ranked_by_susceptibility() const;
 
-  std::size_t tracked_vms() const { return histories_.size(); }
+  std::size_t tracked_vms() const { return rings_.size(); }
 
  private:
+  /// A VM's newest `config_.window` samples. Grows to the window, then
+  /// overwrites in place; the oldest sample sits at `head` once full.
+  struct Ring {
+    std::vector<VmSample> samples;
+    std::size_t head{0};
+  };
+
+  VmUsage summarize(const Ring& ring) const;
+  double score(const VmUsage& usage) const;
+
   Config config_;
-  std::map<std::uint64_t, std::deque<VmSample>> histories_;
+  std::unordered_map<std::uint64_t, Ring> rings_;
 };
 
 }  // namespace uniserver::osk

@@ -65,4 +65,27 @@ TraceBuffer& TraceBuffer::global() {
   return buffer;
 }
 
+namespace {
+// The innermost live TraceCapture's sink on this thread, if any.
+thread_local std::vector<TraceEvent>* tls_capture = nullptr;
+}  // namespace
+
+void trace(Seconds sim_time, std::string component, std::string name,
+           std::vector<std::pair<std::string, std::string>> tags) {
+  TraceEvent event{sim_time, std::move(component), std::move(name),
+                   std::move(tags)};
+  if (tls_capture != nullptr) {
+    tls_capture->push_back(std::move(event));
+  } else {
+    TraceBuffer::global().record(std::move(event));
+  }
+}
+
+TraceCapture::TraceCapture(std::vector<TraceEvent>& sink)
+    : previous_(tls_capture) {
+  tls_capture = &sink;
+}
+
+TraceCapture::~TraceCapture() { tls_capture = previous_; }
+
 }  // namespace uniserver::telemetry

@@ -62,11 +62,24 @@ class TraceBuffer {
   std::uint64_t recorded_ US_GUARDED_BY(mutex_){0};
 };
 
-/// Convenience: append to the global ring.
-inline void trace(Seconds sim_time, std::string component, std::string name,
-                  std::vector<std::pair<std::string, std::string>> tags = {}) {
-  TraceBuffer::global().record(sim_time, std::move(component),
-                               std::move(name), std::move(tags));
-}
+/// Convenience: append to the global ring — or, while a TraceCapture
+/// is live on the calling thread, to that capture's sink.
+void trace(Seconds sim_time, std::string component, std::string name,
+           std::vector<std::pair<std::string, std::string>> tags = {});
+
+/// Diverts this thread's `trace()` calls into `sink` for the guard's
+/// lifetime (captures nest). A forked region body records through one
+/// so that the serial fold can replay the events into the global ring
+/// in a fixed order, never in the order workers reach its mutex.
+class TraceCapture {
+ public:
+  explicit TraceCapture(std::vector<TraceEvent>& sink);
+  ~TraceCapture();
+  TraceCapture(const TraceCapture&) = delete;
+  TraceCapture& operator=(const TraceCapture&) = delete;
+
+ private:
+  std::vector<TraceEvent>* previous_;
+};
 
 }  // namespace uniserver::telemetry

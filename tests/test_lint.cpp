@@ -298,17 +298,53 @@ TEST(RaceMutation, SeededSharedWriteInRealCampaignIsCaught) {
       << caught.output;
 }
 
-TEST(RaceChangedOnly, SubsetScanOfTheRealTree) {
-  // --changed-only narrows the scan to git-modified files; on a tree
-  // whose full scan is clean any subset must be clean too.
+TEST(RaceChangedOnly, SubsetScanOfAFixtureRepository) {
+  // --changed-only narrows the scan to the files git reports modified
+  // or untracked. The test builds its own throwaway repository, so it
+  // holds in any checkout of this tree, git work tree or not: committed
+  // violations stay out of the scan, while an edited clean file and
+  // untracked violations are scanned.
+  namespace fs = std::filesystem;
+  const fs::path repo = fs::path(kScratch) / "changed-only-repo";
+  fs::remove_all(repo);
+  fs::create_directories(repo / "src");
+  const auto place = [&repo](const std::string& from, const std::string& to) {
+    fs::copy_file(fixture(from), repo / "src" / to,
+                  fs::copy_options::overwrite_existing);
+  };
+  place("race/parallel_shared_write.cpp", "committed_race.cpp");
+  place("determinism_violation.cpp", "committed_determinism.cpp");
+  place("race/parallel_clean.cpp", "edited.cpp");
+  const std::string git = "git -C '" + repo.string() +
+                          "' -c user.name=lint -c user.email=lint@localhost"
+                          " -c commit.gpgsign=false ";
+  for (const char* step : {"init -q", "add -A", "commit -q -m fixture"}) {
+    const RunResult r = run(git + step);
+    ASSERT_EQ(r.exit_code, 0) << "git " << step << ": " << r.output;
+  }
+  std::ofstream(repo / "src" / "edited.cpp", std::ios::app) << "// edited\n";
+  place("race/parallel_shared_write.cpp", "untracked_race.cpp");
+  place("determinism_violation.cpp", "untracked_determinism.cpp");
+
   const RunResult r =
-      run(race("--changed-only --root " + std::string(kRoot)));
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("changed-only"), std::string::npos) << r.output;
+      run(race("--changed-only --rules parallel --root " + repo.string()));
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("changed-only, 3 files of 3 changed"),
+            std::string::npos)
+      << r.output;
+  EXPECT_EQ(count_occurrences(r.output, "[parallel]"), 3) << r.output;
+  EXPECT_NE(r.output.find("untracked_race.cpp"), std::string::npos);
+  EXPECT_EQ(r.output.find("committed_race.cpp"), std::string::npos);
+
   const RunResult l =
-      run(lint("--changed-only --root " + std::string(kRoot)));
-  EXPECT_EQ(l.exit_code, 0) << l.output;
-  EXPECT_NE(l.output.find("changed-only"), std::string::npos) << l.output;
+      run(lint("--changed-only --rules determinism --root " + repo.string()));
+  EXPECT_EQ(l.exit_code, 1) << l.output;
+  EXPECT_NE(l.output.find("changed-only, 3 files of 3 changed"),
+            std::string::npos)
+      << l.output;
+  EXPECT_EQ(count_occurrences(l.output, "[determinism]"), 5) << l.output;
+  EXPECT_NE(l.output.find("untracked_determinism.cpp"), std::string::npos);
+  EXPECT_EQ(l.output.find("committed_determinism.cpp"), std::string::npos);
 }
 
 TEST(RaceFormat, GithubAnnotationsCarryFileLineAndRule) {

@@ -131,25 +131,35 @@ TEST(VmMonitorTest, WindowBoundsHistory) {
   config.window = 4;
   osk::VmMonitor monitor(config);
   for (int i = 0; i < 20; ++i) {
-    monitor.record(1, sample_at(i, 1.0, 1000.0));
+    monitor.record(1, sample_at(i, i / 20.0, 1000.0 + i, i % 2));
   }
-  EXPECT_EQ(monitor.usage(1).samples, 4u);
+  const osk::VmUsage usage = monitor.usage(1);
+  EXPECT_EQ(usage.samples, 4u);
+  // Only the newest four samples count, summed oldest first.
+  EXPECT_EQ(usage.mean_cpu,
+            (((16 / 20.0 + 17 / 20.0) + 18 / 20.0) + 19 / 20.0) / 4.0);
+  EXPECT_EQ(usage.peak_cpu, 19 / 20.0);
+  EXPECT_EQ(usage.mean_memory_mb, 1017.5);
+  EXPECT_EQ(usage.peak_memory_mb, 1019.0);
+  EXPECT_EQ(usage.total_errors, 2u);
 }
 
 TEST(VmMonitorTest, SusceptibilityRanksBigBusyErrorProneFirst) {
   osk::VmMonitor monitor;
-  // VM 1: small, idle. VM 2: big and busy. VM 3: big, busy AND has
-  // already absorbed errors.
+  // VM 1: small, idle. VMs 2 and 4: big and busy, equal scores. VM 3:
+  // big, busy AND has already absorbed errors.
   for (int i = 0; i < 10; ++i) {
+    monitor.record(4, sample_at(i, 0.9, 16384.0));
     monitor.record(1, sample_at(i, 0.05, 512.0));
     monitor.record(2, sample_at(i, 0.9, 16384.0));
     monitor.record(3, sample_at(i, 0.9, 16384.0, i == 0 ? 5u : 0u));
   }
   const auto ranked = monitor.ranked_by_susceptibility();
-  ASSERT_EQ(ranked.size(), 3u);
+  ASSERT_EQ(ranked.size(), 4u);
   EXPECT_EQ(ranked[0], 3u);
-  EXPECT_EQ(ranked[1], 2u);
-  EXPECT_EQ(ranked[2], 1u);
+  EXPECT_EQ(ranked[1], 2u);  // equal scores rank by ascending id
+  EXPECT_EQ(ranked[2], 4u);
+  EXPECT_EQ(ranked[3], 1u);
   EXPECT_GT(monitor.susceptibility(3), monitor.susceptibility(2));
   EXPECT_LE(monitor.susceptibility(3), 1.0);
 }

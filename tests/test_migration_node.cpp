@@ -297,6 +297,7 @@ TEST(CloudCrashInjectionTest, DaemonRestartWipesHealthHistory) {
   event.component = daemons::Component::kCache;
   event.severity = daemons::Severity::kCorrectable;
   log.record_error(event);
+  nodes[1]->hypervisor().healthlog().record_error(event);
   ASSERT_FALSE(log.errors().empty());
   const std::uint64_t total = log.total_correctable();
 
@@ -306,6 +307,12 @@ TEST(CloudCrashInjectionTest, DaemonRestartWipesHealthHistory) {
   EXPECT_TRUE(log.errors().empty());
   EXPECT_TRUE(log.vectors().empty());
   EXPECT_EQ(log.total_correctable(), total);
+
+  // The predictor forgot node 0's pre-restart event too; node 1's
+  // still reaches it at the next tick.
+  cloud->run({}, Seconds{60.0});
+  EXPECT_EQ(nodes[0]->metrics().reliability, 1.0);
+  EXPECT_LT(nodes[1]->metrics().reliability, 1.0);
 }
 
 TEST(ComputeNodeTest, ReliabilityClamped) {

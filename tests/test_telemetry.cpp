@@ -288,6 +288,31 @@ TEST(TraceBuffer, ClearEmptiesButKeepsCapacity) {
   EXPECT_EQ(ring.snapshot()[0].name, "after_clear");
 }
 
+TEST(TraceCapture, DivertsThisThreadsTracesAndNests) {
+  TraceBuffer& global = TraceBuffer::global();
+  global.clear();
+  std::vector<TraceEvent> outer;
+  std::vector<TraceEvent> inner;
+  {
+    const telemetry::TraceCapture capture_outer(outer);
+    telemetry::trace(Seconds{1.0}, "t", "to_outer");
+    {
+      const telemetry::TraceCapture capture_inner(inner);
+      telemetry::trace(Seconds{2.0}, "t", "to_inner");
+    }
+    telemetry::trace(Seconds{3.0}, "t", "to_outer_again");
+  }
+  telemetry::trace(Seconds{4.0}, "t", "to_global");
+  ASSERT_EQ(outer.size(), 2u);
+  EXPECT_EQ(outer[0].name, "to_outer");
+  EXPECT_EQ(outer[1].name, "to_outer_again");
+  ASSERT_EQ(inner.size(), 1u);
+  EXPECT_EQ(inner[0].name, "to_inner");
+  ASSERT_EQ(global.size(), 1u);
+  EXPECT_EQ(global.snapshot()[0].name, "to_global");
+  global.clear();
+}
+
 // -- scoped timer -----------------------------------------------------
 
 TEST(ScopedTimer, RecordsOneSampleIntoSink) {
