@@ -58,8 +58,7 @@ std::vector<std::unique_ptr<osk::ComputeNode>> build_fleet(int count) {
   auto nodes = par::parallel_map<std::unique_ptr<osk::ComputeNode>>(
       static_cast<std::size_t>(count), [&](std::size_t i) {
         auto node = std::make_unique<osk::ComputeNode>(
-            "node-" + std::to_string(i), spec, hv::HvConfig{},
-            streams[i].next());
+            i, spec, hv::HvConfig{}, streams[i].next());
         // Deterministic reliability spread in [0.90, 1.00] so the
         // reliability-aware policy has a real ordering to index and the
         // critical-VM floor (0.98) actually filters nodes.

@@ -40,8 +40,6 @@ class MemoryDomainManager {
   /// Frees previously placed reliable-domain megabytes.
   void free_reliable(double mb);
 
-  double reliable_used_mb() const { return reliable_used_mb_; }
-
  private:
   hw::ServerNode& node_;
   double reliable_used_mb_{0.0};

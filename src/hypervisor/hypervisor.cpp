@@ -133,14 +133,6 @@ void Hypervisor::apply_margins(const daemons::SafeMargins& margins,
   reconfigure_domains();
 }
 
-void Hypervisor::apply_advice(const daemons::Predictor& predictor,
-                              const std::vector<hw::Eop>& candidates) {
-  const auto advice = predictor.advise(node_.chip(), aggregate_signature(),
-                                       candidates, config_.risk_budget);
-  node_.set_eop(advice.eop);
-  reconfigure_domains();
-}
-
 void Hypervisor::apply_eop(const hw::Eop& eop) {
   node_.set_eop(eop);
   reconfigure_domains();

@@ -1,8 +1,9 @@
 // The UniServer error-resilient hypervisor (paper §4.A).
 //
 // A KVM-like symmetric hypervisor enhanced with the UniServer roles:
-//   - applies StressLog margins / Predictor advice to pick a just-right
-//     EOP that strips unnecessary guard-bands;
+//   - applies StressLog margins, or an EOP its host picked from
+//     Predictor advice, to run at a just-right EOP that strips
+//     unnecessary guard-bands;
 //   - hosts its own structures (and critical VMs) in the reliable
 //     memory domain so refresh relaxation cannot corrupt them;
 //   - transparently masks correctable errors from the guests;
@@ -25,7 +26,6 @@
 #include "common/rng.h"
 #include "common/units.h"
 #include "daemons/healthlog.h"
-#include "daemons/predictor.h"
 #include "daemons/stresslog.h"
 #include "hwmodel/platform.h"
 #include "hypervisor/domains.h"
@@ -37,12 +37,6 @@
 namespace uniserver::hv {
 
 struct HvConfig {
-  /// Acceptable *predicted* crash probability when asking the Predictor
-  /// for an EOP. The logistic model is coarsely calibrated, so this is
-  /// a ranking threshold rather than a true probability; 0.02 keeps a
-  /// comfortable distance from the decision boundary (the guard band
-  /// provides the hard safety margin).
-  double risk_budget{0.02};
   /// Host the hypervisor (and critical VMs) at nominal refresh.
   bool use_reliable_domain{true};
   /// Checkpoint/checksum the crucial objects found by fault injection.
@@ -142,9 +136,6 @@ class Hypervisor {
   /// keeping the configured guard semantics (margins are already
   /// guard-banded by the StressLog).
   void apply_margins(const daemons::SafeMargins& margins, MegaHertz freq);
-  /// Lets the Predictor choose among candidate EOPs under the budget.
-  void apply_advice(const daemons::Predictor& predictor,
-                    const std::vector<hw::Eop>& candidates);
   /// Applies an already-decided EOP and re-pins the reliable domain.
   void apply_eop(const hw::Eop& eop);
 
@@ -167,7 +158,6 @@ class Hypervisor {
   double hypervisor_footprint_mb() const;
   double total_utilized_mb() const;
   double hypervisor_share() const;
-  const FootprintModel& footprint_model() const { return footprint_; }
   const HvStats& stats() const { return stats_; }
 
   /// Aggregate electrical signature of the resident VMs (weighted by

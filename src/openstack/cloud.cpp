@@ -1,6 +1,7 @@
 #include "openstack/cloud.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 
 #include "common/parallel.h"
@@ -65,11 +66,15 @@ Cloud::Cloud(const CloudConfig& config,
       predictor_(config.predictor),
       orchestrator_(config.migration, config.nodes_per_rack,
                     orchestrator_callbacks()) {
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (nodes_[i]->slot() != i) {
+      throw std::invalid_argument(
+          "Cloud: node at position " + std::to_string(i) + " has slot " +
+          std::to_string(nodes_[i]->slot()));
+    }
+  }
   if (config_.serve.enabled) {
     serve_ = std::make_unique<serve::ServeLayer>(config_.serve);
-  }
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    slot_index_[nodes_[i].get()] = static_cast<int>(i);
   }
   outboxes_.resize(nodes_.size());
   tick_in_fold_.assign(nodes_.size(), 0);
@@ -84,9 +89,9 @@ std::unique_ptr<Cloud> Cloud::make_uniform(const CloudConfig& config,
   std::vector<std::unique_ptr<ComputeNode>> nodes;
   Rng rng(seed);
   nodes.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    nodes.push_back(std::make_unique<ComputeNode>(
-        "node-" + std::to_string(i), node_spec, hv_config, rng.next()));
+  for (std::size_t i = 0; i < static_cast<std::size_t>(count); ++i) {
+    nodes.push_back(
+        std::make_unique<ComputeNode>(i, node_spec, hv_config, rng.next()));
   }
   return std::make_unique<Cloud>(config, std::move(nodes));
 }
@@ -143,8 +148,8 @@ void Cloud::inject_daemon_restart(int node_index) {
   // The restarted daemon begins from an empty logfile, so the predictor
   // history built from its stream restarts too.
   node->hypervisor().healthlog().clear();
-  outboxes_[static_cast<std::size_t>(node_index)].errors.clear();
-  predictor_.reset(node->name());
+  outboxes_[node->slot()].errors.clear();
+  predictor_.reset(node->slot());
 }
 
 MigrationOrchestrator::Callbacks Cloud::orchestrator_callbacks() {
@@ -226,43 +231,22 @@ void Cloud::wire_monitoring() {
 }
 
 int Cloud::rack_of(const ComputeNode* node) const {
-  const auto it = slot_index_.find(node);
-  if (it == slot_index_.end()) return 0;
-  return it->second / std::max(1, config_.nodes_per_rack);
+  return rack_of_slot(node->slot(), config_.nodes_per_rack);
 }
 
 Watt Cloud::rack_power(int rack) {
   Watt total{0.0};
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (static_cast<int>(i) / std::max(1, config_.nodes_per_rack) != rack) {
-      continue;
-    }
-    ComputeNode* node = nodes_[i].get();
+  for (const auto& node : nodes_) {
+    if (rack_of(node.get()) != rack) continue;
     total += node->server().node_power(
         node->hypervisor().aggregate_signature(), node->used_vcpus());
   }
   return total;
 }
 
-bool Cloud::rack_admits(ComputeNode* node, const hv::Vm& vm) {
-  if (config_.rack_power_cap.value <= 0.0) return true;
-  // Marginal power of the new VM: its vCPUs at the node's current EOP.
-  const auto& chip = node->server().chip();
-  const hw::Eop eop = node->server().eop();
-  const Watt marginal =
-      chip.power().core_dynamic(eop.vdd, eop.freq, vm.workload.activity) *
-      static_cast<double>(vm.vcpus);
-  const Watt projected = rack_power(rack_of(node)) + marginal;
-  return projected.value <= config_.rack_power_cap.value;
-}
-
 void Cloud::record_decision(std::uint64_t vm_id, const ComputeNode* target,
                             bool evacuation) {
-  int slot = -1;
-  if (target != nullptr) {
-    const auto it = slot_index_.find(target);
-    if (it != slot_index_.end()) slot = it->second;
-  }
+  const int slot = target == nullptr ? -1 : static_cast<int>(target->slot());
   placement_digest_ = fnv_mix(placement_digest_, vm_id);
   placement_digest_ = fnv_mix(
       placement_digest_, static_cast<std::uint64_t>(
@@ -285,14 +269,13 @@ void Cloud::handle_arrival(const trace::VmRequest& request) {
   std::vector<std::uint8_t> allowed;
   bool power_limited = false;
   if (config_.rack_power_cap.value > 0.0 && !nodes_.empty()) {
-    const std::size_t per_rack =
-        static_cast<std::size_t>(std::max(1, config_.nodes_per_rack));
-    std::vector<Watt> rack_watts((nodes_.size() + per_rack - 1) / per_rack,
-                                 Watt{0.0});
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      ComputeNode* node = nodes_[i].get();
-      rack_watts[i / per_rack] += node->server().node_power(
-          node->hypervisor().aggregate_signature(), node->used_vcpus());
+    std::vector<Watt> rack_watts(
+        static_cast<std::size_t>(rack_of(nodes_.back().get())) + 1,
+        Watt{0.0});
+    for (const auto& node : nodes_) {
+      rack_watts[static_cast<std::size_t>(rack_of(node.get()))] +=
+          node->server().node_power(node->hypervisor().aggregate_signature(),
+                                    node->used_vcpus());
     }
     allowed.assign(nodes_.size(), 1);
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
@@ -304,7 +287,8 @@ void Cloud::handle_arrival(const trace::VmRequest& request) {
           chip.power().core_dynamic(eop.vdd, eop.freq,
                                     vm.workload.activity) *
           static_cast<double>(vm.vcpus);
-      const Watt projected = rack_watts[i / per_rack] + marginal;
+      const Watt projected =
+          rack_watts[static_cast<std::size_t>(rack_of(node))] + marginal;
       if (projected.value > config_.rack_power_cap.value) {
         allowed[i] = 0;
         power_limited = true;
@@ -393,7 +377,7 @@ void Cloud::tick_nodes(Seconds window) {
   std::fill(tick_in_fold_.begin(), tick_in_fold_.end(), 0);
   for (const auto& [vm_id, ticket] : orchestrator_.tickets()) {
     if (ticket.phase != MigrationPhase::kPostCopy) continue;
-    tick_in_fold_[static_cast<std::size_t>(slot_index_.at(ticket.dest))] = 1;
+    tick_in_fold_[ticket.dest->slot()] = 1;
   }
   par::parallel_for_each(nodes_.size(), [this, window](std::size_t slot) {
     if (tick_in_fold_[slot] == 0) tick_node(slot, window);
@@ -421,7 +405,7 @@ void Cloud::fold_node(std::size_t slot) {
   }
   box.traces.clear();
   for (const daemons::ErrorEvent& event : box.errors) {
-    predictor_.observe(node->name(), event);
+    predictor_.observe(slot, event);
   }
   box.errors.clear();
 
@@ -458,7 +442,7 @@ void Cloud::fold_node(std::size_t slot) {
     }
   }
   // Repair completed this tick: clear the node's log history.
-  if (!was_up && node->up()) predictor_.reset(node->name());
+  if (!was_up && node->up()) predictor_.reset(slot);
   if (serve_) {
     // Fault-path dispatch stalls: a checkpoint restore pauses the
     // guest for the restore time, a survivable SDC hit costs a
@@ -476,7 +460,7 @@ void Cloud::fold_node(std::size_t slot) {
 
 void Cloud::update_reliability() {
   for (auto& node : nodes_) {
-    node->set_reliability(1.0 - predictor_.risk(node->name(), now_));
+    node->set_reliability(1.0 - predictor_.risk(node->slot(), now_));
   }
 }
 
@@ -484,7 +468,7 @@ void Cloud::proactive_evacuation() {
   if (!config_.proactive_migration) return;
   for (auto& source : nodes_) {
     if (!source->up()) continue;
-    if (!predictor_.should_evacuate(source->name(), now_)) continue;
+    if (!predictor_.should_evacuate(source->slot(), now_)) continue;
     ++stats_.evacuations;
     metrics().evacuations.add();
     telemetry::trace(
@@ -532,8 +516,7 @@ int Cloud::evacuate_node(ComputeNode* source, MigrationPriority priority,
     record_decision(id, target, true);
     if (target == nullptr ||
         !orchestrator_.submit(id, source, target, vm.vcpus, vm.memory_mb,
-                              priority, now_, rack_of(source),
-                              rack_of(target))) {
+                              priority, now_)) {
       ++stats_.migration_failures;
       metrics().migration_failures.add();
       continue;  // nowhere to go; VM rides out the risk in place
@@ -547,16 +530,16 @@ void Cloud::inject_rack_power_loss(int node_index) {
   if (node_index < 0 || node_index >= static_cast<int>(nodes_.size())) {
     return;
   }
-  const int rack = node_index / std::max(1, config_.nodes_per_rack);
+  const int rack = rack_of_slot(static_cast<std::size_t>(node_index),
+                                config_.nodes_per_rack);
   // Every node in the rack is about to lose power together, so none of
   // them is an acceptable destination.
   std::vector<std::uint8_t> allowed(nodes_.size(), 1);
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (rack_of(nodes_[i].get()) == rack) allowed[i] = 0;
-  }
   int vms = 0;
   for (const auto& node : nodes_) {
-    if (rack_of(node.get()) == rack) vms += node->hypervisor().vm_count();
+    if (rack_of(node.get()) != rack) continue;
+    allowed[node->slot()] = 0;
+    vms += node->hypervisor().vm_count();
   }
   telemetry::trace(now_, "cloud", "rack_evacuation",
                    {{"rack", std::to_string(rack)},

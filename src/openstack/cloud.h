@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/units.h"
@@ -102,6 +101,8 @@ struct CloudStats {
 
 class Cloud {
  public:
+  /// Throws std::invalid_argument unless `nodes[i]->slot() == i` for
+  /// every i: a node's slot is its identity in the control plane.
   Cloud(const CloudConfig& config,
         std::vector<std::unique_ptr<ComputeNode>> nodes);
 
@@ -176,12 +177,10 @@ class Cloud {
   /// serving layer is disabled.
   void inject_request_burst(Seconds at, std::uint64_t count);
 
-  /// Rack index of a node (grouping is by construction order).
+  /// Rack index of a node (`rack_of_slot` of its slot).
   int rack_of(const ComputeNode* node) const;
   /// Aggregate current power draw of a rack.
   Watt rack_power(int rack);
-  /// Whether admitting `vm` onto `node` keeps its rack under the cap.
-  bool rack_admits(ComputeNode* node, const hv::Vm& vm);
 
   // -- placement-decision audit trail ---------------------------------
 
@@ -250,8 +249,6 @@ class Cloud {
   CloudConfig config_;
   std::vector<std::unique_ptr<ComputeNode>> nodes_;
   std::unique_ptr<PlacementEngine> engine_;
-  /// Fleet slot by node pointer: O(1) rack_of and decision logging.
-  std::unordered_map<const ComputeNode*, int> slot_index_;
   std::vector<NodeOutbox> outboxes_;
   /// Per slot: tick inside the fold rather than the fork (see
   /// tick_nodes). Reused across ticks.

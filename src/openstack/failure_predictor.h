@@ -10,9 +10,8 @@
 // novel.
 #pragma once
 
-#include <cstdint>
-#include <map>
-#include <string>
+#include <cstddef>
+#include <vector>
 
 #include "common/units.h"
 #include "daemons/info_vector.h"
@@ -37,20 +36,23 @@ class LogFailurePredictor {
   LogFailurePredictor() : LogFailurePredictor(Config{}) {}
   explicit LogFailurePredictor(Config config) : config_(config) {}
 
-  /// Ingests one log event from a node's HealthLog stream.
-  void observe(const std::string& node, const daemons::ErrorEvent& event);
+  // Nodes are named by fleet slot. A slot never observed (or reset
+  // since) has a zero score.
+
+  /// Ingests one log event from the HealthLog stream of node `slot`.
+  void observe(std::size_t slot, const daemons::ErrorEvent& event);
 
   /// Decayed pattern score of a node at time `now`.
-  double score(const std::string& node, Seconds now) const;
+  double score(std::size_t slot, Seconds now) const;
 
   /// Failure-risk estimate in [0,1) at time `now`.
-  double risk(const std::string& node, Seconds now) const;
+  double risk(std::size_t slot, Seconds now) const;
 
   /// Whether the policy should proactively migrate VMs off the node.
-  bool should_evacuate(const std::string& node, Seconds now) const;
+  bool should_evacuate(std::size_t slot, Seconds now) const;
 
   /// Forgets a node's history (after repair/reboot).
-  void reset(const std::string& node);
+  void reset(std::size_t slot);
 
  private:
   struct NodeState {
@@ -61,7 +63,8 @@ class LogFailurePredictor {
   double decayed(const NodeState& state, Seconds now) const;
 
   Config config_;
-  std::map<std::string, NodeState> nodes_;
+  /// Per slot; grows to the highest slot observed.
+  std::vector<NodeState> nodes_;
 };
 
 }  // namespace uniserver::osk

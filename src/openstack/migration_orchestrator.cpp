@@ -76,7 +76,7 @@ MigrationOrchestrator::MigrationOrchestrator(const MigrationModel& model,
                                              int nodes_per_rack,
                                              Callbacks callbacks)
     : model_(model),
-      nodes_per_rack_(std::max(1, nodes_per_rack)),
+      nodes_per_rack_(nodes_per_rack),
       callbacks_(std::move(callbacks)) {}
 
 int MigrationOrchestrator::slots_per_link() const {
@@ -85,12 +85,16 @@ int MigrationOrchestrator::slots_per_link() const {
       1, static_cast<int>(model_.link_bandwidth_mb_per_s / stream));
 }
 
+std::pair<int, int> MigrationOrchestrator::racks(
+    const MigrationTicket& t) const {
+  return {rack_of_slot(t.source->slot(), nodes_per_rack_),
+          rack_of_slot(t.dest->slot(), nodes_per_rack_)};
+}
+
 bool MigrationOrchestrator::links_have_capacity(
     const MigrationTicket& t) const {
-  const auto it = racks_.find(t.vm_id);
-  if (it == racks_.end()) return false;
   const int slots = slots_per_link();
-  const auto [src_rack, dst_rack] = it->second;
+  const auto [src_rack, dst_rack] = racks(t);
   const auto busy = [this](int rack) {
     const auto bit = busy_slots_.find(rack);
     return bit == busy_slots_.end() ? 0 : bit->second;
@@ -101,13 +105,13 @@ bool MigrationOrchestrator::links_have_capacity(
 }
 
 void MigrationOrchestrator::occupy_links(const MigrationTicket& t) {
-  const auto [src_rack, dst_rack] = racks_.at(t.vm_id);
+  const auto [src_rack, dst_rack] = racks(t);
   ++busy_slots_[src_rack];
   if (src_rack != dst_rack) ++busy_slots_[dst_rack];
 }
 
 void MigrationOrchestrator::release_links(const MigrationTicket& t) {
-  const auto [src_rack, dst_rack] = racks_.at(t.vm_id);
+  const auto [src_rack, dst_rack] = racks(t);
   --busy_slots_[src_rack];
   if (src_rack != dst_rack) --busy_slots_[dst_rack];
 }
@@ -124,8 +128,8 @@ double MigrationOrchestrator::link_utilization() const {
 bool MigrationOrchestrator::submit(std::uint64_t vm_id, ComputeNode* source,
                                    ComputeNode* dest, int vcpus,
                                    double memory_mb,
-                                   MigrationPriority priority, Seconds now,
-                                   int rack_of_source, int rack_of_dest) {
+                                   MigrationPriority priority,
+                                   Seconds now) {
   if (source == nullptr || dest == nullptr || dest == source) return false;
   if (in_flight(vm_id)) return false;
   if (!dest->reserve(vcpus, memory_mb)) return false;
@@ -136,14 +140,12 @@ bool MigrationOrchestrator::submit(std::uint64_t vm_id, ComputeNode* source,
   t.source = source;
   t.dest = dest;
   t.priority = priority;
+  t.seq = next_seq_++;
   t.reserved_vcpus = vcpus;
   t.reserved_memory_mb = memory_mb;
   t.submitted_at = now;
   tickets_.emplace(vm_id, t);
-  racks_.emplace(vm_id, std::make_pair(rack_of_source, rack_of_dest));
-  const std::uint64_t seq = next_seq_++;
-  submit_seq_.emplace(vm_id, seq);
-  queue_.insert({static_cast<int>(priority), seq, vm_id});
+  queue_.insert({static_cast<int>(priority), t.seq, vm_id});
   ++stats_.submitted;
   mig_metrics().submitted.add();
   telemetry::trace(now, "cloud", "migration_start",
@@ -291,8 +293,6 @@ void MigrationOrchestrator::complete(MigrationTicket& t, Seconds now) {
   if (callbacks_.finished) callbacks_.finished(t, Outcome::kCompleted);
   const std::uint64_t vm_id = t.vm_id;
   tickets_.erase(vm_id);
-  racks_.erase(vm_id);
-  submit_seq_.erase(vm_id);
   // generation_ stays: it must keep growing monotonically if the same
   // VM migrates again, or messages from this ticket could alias.
   start_ready(now);
@@ -309,8 +309,7 @@ void MigrationOrchestrator::drop_reservation(MigrationTicket& t) {
 void MigrationOrchestrator::cancel(MigrationTicket& t, Seconds now,
                                    bool vm_lost) {
   if (t.phase == MigrationPhase::kQueued) {
-    queue_.erase({static_cast<int>(t.priority), submit_seq_.at(t.vm_id),
-                  t.vm_id});
+    queue_.erase({static_cast<int>(t.priority), t.seq, t.vm_id});
   } else {
     release_links(t);
   }
@@ -330,8 +329,6 @@ void MigrationOrchestrator::cancel(MigrationTicket& t, Seconds now,
   if (callbacks_.finished) callbacks_.finished(t, Outcome::kCancelled);
   const std::uint64_t vm_id = t.vm_id;
   tickets_.erase(vm_id);
-  racks_.erase(vm_id);
-  submit_seq_.erase(vm_id);
   start_ready(now);
   refresh_gauges();
 }

@@ -42,6 +42,7 @@
 #include <map>
 #include <queue>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/annotations.h"
@@ -76,6 +77,8 @@ struct MigrationTicket {
   ComputeNode* source{nullptr};
   ComputeNode* dest{nullptr};
   MigrationPriority priority{MigrationPriority::kEopRetreat};
+  /// Submit sequence number: FIFO order within a priority class.
+  std::uint64_t seq{0};
   MigrationPhase phase{MigrationPhase::kQueued};
   /// Capacity held on `dest` from submit until cutover/cancel.
   int reserved_vcpus{0};
@@ -129,10 +132,11 @@ class MigrationOrchestrator {
                         Callbacks callbacks);
 
   /// Enqueues a migration and reserves destination capacity. False if
-  /// the VM is already in flight or the reservation does not fit.
+  /// the VM is already in flight or the reservation does not fit. The
+  /// ticket's racks follow from the nodes' slots (`rack_of_slot`).
   bool submit(std::uint64_t vm_id, ComputeNode* source, ComputeNode* dest,
               int vcpus, double memory_mb, MigrationPriority priority,
-              Seconds now, int rack_of_source, int rack_of_dest);
+              Seconds now);
 
   /// Whether a ticket for `vm_id` is queued or active.
   bool in_flight(std::uint64_t vm_id) const {
@@ -177,6 +181,8 @@ class MigrationOrchestrator {
   };
 
   int slots_per_link() const;
+  /// (source rack, destination rack) of a ticket.
+  std::pair<int, int> racks(const MigrationTicket& t) const;
   bool links_have_capacity(const MigrationTicket& t) const;
   void occupy_links(const MigrationTicket& t);
   void release_links(const MigrationTicket& t);
@@ -190,16 +196,12 @@ class MigrationOrchestrator {
   void refresh_gauges() const;
 
   MigrationModel model_;
+  /// Rack size for `rack_of_slot` (CloudConfig::nodes_per_rack).
   int nodes_per_rack_{8};
   Callbacks callbacks_;
   std::map<std::uint64_t, MigrationTicket> tickets_;
-  /// Rack index per in-flight ticket (source, dest), kept off the
-  /// ticket so the public view stays node-centric.
-  std::map<std::uint64_t, std::pair<int, int>> racks_;
-  /// Wait queue in (priority, submit seq) order.
+  /// Wait queue in (priority, submit seq, vm) order.
   std::set<std::tuple<int, std::uint64_t, std::uint64_t>> queue_;
-  /// Submit sequence per ticket (FIFO tie-break inside a priority).
-  std::map<std::uint64_t, std::uint64_t> submit_seq_;
   /// Busy stream slots per rack link.
   std::map<int, int> busy_slots_;
   /// Pending timer messages in (time, seq) order. Pushed only by

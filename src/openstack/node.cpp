@@ -4,9 +4,10 @@
 
 namespace uniserver::osk {
 
-ComputeNode::ComputeNode(std::string name, const hw::NodeSpec& spec,
+ComputeNode::ComputeNode(std::size_t slot, const hw::NodeSpec& spec,
                          const hv::HvConfig& hv_config, std::uint64_t seed)
-    : name_(std::move(name)),
+    : slot_(slot),
+      name_("node-" + std::to_string(slot)),
       server_(std::make_unique<hw::ServerNode>(spec, seed)),
       hypervisor_(std::make_unique<hv::Hypervisor>(*server_, hv_config,
                                                    Rng(seed).fork(7).next())) {

@@ -4,6 +4,8 @@
 // (§2: "an additional node reliability metric is added").
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -23,15 +25,26 @@ struct NodeMetrics {
   double reliability{1.0};   ///< 1 - smoothed failure-risk estimate
 };
 
+/// Rack of the node at fleet slot `slot`: racks group `nodes_per_rack`
+/// consecutive slots (a non-positive size means one node per rack).
+/// The one rack rule shared by the cloud and the migration orchestrator.
+inline int rack_of_slot(std::size_t slot, int nodes_per_rack) {
+  return static_cast<int>(slot) / std::max(1, nodes_per_rack);
+}
+
 class ComputeNode {
  public:
-  ComputeNode(std::string name, const hw::NodeSpec& spec,
+  /// `slot` is the node's position in its fleet: its one identity in
+  /// the control plane (predictor, placement index, racks, digests).
+  ComputeNode(std::size_t slot, const hw::NodeSpec& spec,
               const hv::HvConfig& hv_config, std::uint64_t seed);
 
   // Owns hardware and hypervisor; movable only via pointer semantics.
   ComputeNode(const ComputeNode&) = delete;
   ComputeNode& operator=(const ComputeNode&) = delete;
 
+  std::size_t slot() const { return slot_; }
+  /// "node-<slot>", for traces and messages.
   const std::string& name() const { return name_; }
   hw::ServerNode& server() { return *server_; }
   hv::Hypervisor& hypervisor() { return *hypervisor_; }
@@ -65,8 +78,6 @@ class ComputeNode {
   /// Releases a reservation taken by `reserve`. No-op on a node whose
   /// reservations were already cleared by a crash.
   void unreserve(int vcpus, double memory_mb);
-  int reserved_vcpus() const { return reserved_vcpus_; }
-  double reserved_memory_mb() const { return reserved_memory_mb_; }
 
   NodeMetrics metrics() const { return metrics_; }
   /// Externally updated by the cloud's failure predictor.
@@ -126,6 +137,7 @@ class ComputeNode {
   void resync_capacity_cache();
 
  private:
+  std::size_t slot_;
   std::string name_;
   std::unique_ptr<hw::ServerNode> server_;
   std::unique_ptr<hv::Hypervisor> hypervisor_;

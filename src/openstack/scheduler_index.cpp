@@ -103,13 +103,10 @@ void IndexedScheduler::bind(std::vector<ComputeNode*> nodes) {
   round_robin_cursor_ = 0;
   const std::size_t n = nodes_.size();
 
-  slot_of_.clear();
-  slot_of_.reserve(n);
   perm_.resize(n);
   rank_.resize(n);
   weights_.assign(n, 0.0);
   for (std::size_t slot = 0; slot < n; ++slot) {
-    slot_of_[nodes_[slot]] = static_cast<std::uint32_t>(slot);
     perm_[slot] = static_cast<std::uint32_t>(slot);
     rank_[slot] = static_cast<std::uint32_t>(slot);
   }
@@ -151,9 +148,9 @@ void IndexedScheduler::refresh_weights() {
 }
 
 void IndexedScheduler::node_changed(const ComputeNode* node) {
-  const auto it = slot_of_.find(node);
-  if (it == slot_of_.end()) return;
-  update_position(rank_[it->second]);
+  const std::size_t slot = node->slot();
+  if (slot >= nodes_.size() || nodes_[slot] != node) return;  // not bound
+  update_position(rank_[slot]);
 }
 
 long IndexedScheduler::find_first(std::size_t t, std::size_t t_lo,
@@ -223,9 +220,9 @@ std::string IndexedScheduler::self_check() const {
       err << "perm/rank not inverse at slot " << slot;
       return err.str();
     }
-    const auto it = slot_of_.find(nodes_[slot]);
-    if (it == slot_of_.end() || it->second != slot) {
-      err << "slot_of_ stale for slot " << slot;
+    if (nodes_[slot]->slot() != slot) {
+      err << "node at position " << slot << " has slot "
+          << nodes_[slot]->slot();
       return err.str();
     }
   }

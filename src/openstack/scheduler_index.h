@@ -23,7 +23,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "openstack/scheduler.h"
@@ -81,8 +80,8 @@ class IndexedScheduler final : public PlacementEngine {
                   bool critical, const PlacementConstraint& constraint,
                   std::uint64_t& scanned) const;
 
+  /// Bound fleet; `nodes_[i]->slot() == i` (self_check verifies).
   std::vector<ComputeNode*> nodes_;
-  std::unordered_map<const ComputeNode*, std::uint32_t> slot_of_;
   /// Tree position -> fleet slot. Identity for positional policies;
   /// (weight desc, slot asc) for weighted ones.
   std::vector<std::uint32_t> perm_;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <memory>
+#include <stdexcept>
+#include <vector>
+
 #include "hwmodel/chip_spec.h"
 #include "stress/profiles.h"
 
@@ -88,6 +93,24 @@ TEST(Cloud, NodePointersMatchFleetSize) {
       config_with(SchedulerPolicy::kFirstFit), node_spec(), hv::HvConfig{},
       5, 1);
   EXPECT_EQ(cloud->node_ptrs().size(), 5u);
+}
+
+TEST(Cloud, RejectsFleetWhoseSlotsDisagreeWithPositions) {
+  // A node's slot is its control-plane identity, so the fleet vector
+  // must hold slot i at position i.
+  const auto fleet = [](std::vector<std::size_t> slots) {
+    std::vector<std::unique_ptr<ComputeNode>> nodes;
+    for (std::size_t slot : slots) {
+      nodes.push_back(
+          std::make_unique<ComputeNode>(slot, node_spec(), hv::HvConfig{}, 1));
+    }
+    return nodes;
+  };
+  const CloudConfig config = config_with(SchedulerPolicy::kFirstFit);
+  EXPECT_THROW(Cloud(config, fleet({1, 0})), std::invalid_argument);
+  EXPECT_THROW(Cloud(config, fleet({0, 0})), std::invalid_argument);
+  EXPECT_THROW(Cloud(config, fleet({0, 2})), std::invalid_argument);
+  EXPECT_NO_THROW(Cloud(config, fleet({0, 1, 2})));
 }
 
 TEST(Cloud, ProactiveEvacuationMovesVmsOffFailingNode) {

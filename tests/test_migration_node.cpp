@@ -104,7 +104,7 @@ hv::Vm make_vm(std::uint64_t id, int vcpus = 2) {
 }
 
 TEST(ComputeNodeTest, CapacityViews) {
-  ComputeNode node("n0", node_spec(), hv::HvConfig{}, 1);
+  ComputeNode node(0, node_spec(), hv::HvConfig{}, 1);
   EXPECT_EQ(node.total_vcpus(), 8);
   EXPECT_EQ(node.used_vcpus(), 0);
   EXPECT_NEAR(node.memory_capacity_mb(), 4.0 * 8192.0, 1.0);
@@ -116,7 +116,7 @@ TEST(ComputeNodeTest, CapacityViews) {
 }
 
 TEST(ComputeNodeTest, PlacementFiltersCapacity) {
-  ComputeNode node("n0", node_spec(), hv::HvConfig{}, 1);
+  ComputeNode node(0, node_spec(), hv::HvConfig{}, 1);
   EXPECT_FALSE(node.place_vm(make_vm(1, 9)));
   hv::Vm fat = make_vm(2, 1);
   fat.memory_mb = 1e9;
@@ -124,7 +124,7 @@ TEST(ComputeNodeTest, PlacementFiltersCapacity) {
 }
 
 TEST(ComputeNodeTest, MetricsTrackUtilizationAndAvailability) {
-  ComputeNode node("n0", node_spec(), hv::HvConfig{}, 1);
+  ComputeNode node(0, node_spec(), hv::HvConfig{}, 1);
   node.place_vm(make_vm(1, 4));
   node.tick(0_s, 60_s);
   EXPECT_NEAR(node.metrics().utilization, 0.5, 1e-9);
@@ -133,7 +133,7 @@ TEST(ComputeNodeTest, MetricsTrackUtilizationAndAvailability) {
 }
 
 TEST(ComputeNodeTest, CrashLosesVmsAndRepairs) {
-  ComputeNode node("n0", node_spec(), hv::HvConfig{}, 1);
+  ComputeNode node(0, node_spec(), hv::HvConfig{}, 1);
   node.place_vm(make_vm(1, 4));
   // Force a crash by dropping the voltage absurdly low.
   hw::Eop eop = node.server().eop();
@@ -165,7 +165,7 @@ TEST(ComputeNodeTest, CrashLosesVmsAndRepairs) {
 }
 
 TEST(ComputeNodeTest, ForceCrashLosesResidentsAndIsIdempotent) {
-  ComputeNode node("n0", node_spec(), hv::HvConfig{}, 1);
+  ComputeNode node(0, node_spec(), hv::HvConfig{}, 1);
   node.place_vm(make_vm(1, 2));
   node.place_vm(make_vm(2, 2));
   const auto lost = node.force_crash();
@@ -316,7 +316,7 @@ TEST(CloudCrashInjectionTest, DaemonRestartWipesHealthHistory) {
 }
 
 TEST(ComputeNodeTest, ReliabilityClamped) {
-  ComputeNode node("n0", node_spec(), hv::HvConfig{}, 1);
+  ComputeNode node(0, node_spec(), hv::HvConfig{}, 1);
   node.set_reliability(5.0);
   EXPECT_DOUBLE_EQ(node.metrics().reliability, 1.0);
   node.set_reliability(-3.0);

@@ -59,12 +59,12 @@ struct DirectHarness {
   MigrationTicket last_finished{};
   std::unique_ptr<MigrationOrchestrator> orch;
 
-  DirectHarness(int node_count, const MigrationModel& model,
-                int nodes_per_rack = 8) {
-    for (int i = 0; i < node_count; ++i) {
+  /// Every node is its own rack: a ticket pins a link slot on both its
+  /// source's and its destination's rack.
+  DirectHarness(int node_count, const MigrationModel& model) {
+    for (std::size_t i = 0; i < static_cast<std::size_t>(node_count); ++i) {
       nodes.push_back(std::make_unique<ComputeNode>(
-          "n" + std::to_string(i), node_spec(), hv::HvConfig{},
-          static_cast<std::uint64_t>(i) + 1));
+          i, node_spec(), hv::HvConfig{}, static_cast<std::uint64_t>(i) + 1));
     }
     MigrationOrchestrator::Callbacks cb;
     cb.commit = [this](const MigrationTicket& t, bool) {
@@ -89,8 +89,7 @@ struct DirectHarness {
       last_finished = t;
     };
     cb.node_changed = [](ComputeNode*) {};
-    orch = std::make_unique<MigrationOrchestrator>(model, nodes_per_rack,
-                                                   std::move(cb));
+    orch = std::make_unique<MigrationOrchestrator>(model, 1, std::move(cb));
   }
 
   ComputeNode* node(int i) { return nodes[static_cast<std::size_t>(i)].get(); }
@@ -104,7 +103,7 @@ TEST(MigrationOrchestrator, PreCopyConvergesAndCutsOver) {
   ASSERT_TRUE(h.node(0)->place_vm(make_vm(1)));
 
   ASSERT_TRUE(h.orch->submit(1, h.node(0), h.node(1), 2, 2048.0,
-                             MigrationPriority::kEopRetreat, 0_s, 0, 1));
+                             MigrationPriority::kEopRetreat, 0_s));
   // Capacity is reserved on the destination from submit onwards.
   EXPECT_EQ(h.node(1)->free_vcpus(), h.node(1)->total_vcpus() - 2);
   EXPECT_TRUE(h.orch->in_flight(1));
@@ -146,8 +145,9 @@ TEST(MigrationOrchestrator, PreCopyConvergesAndCutsOver) {
 }
 
 TEST(MigrationOrchestrator, LinkBudgetSerializesAndPriorityJumpsQueue) {
-  // One stream slot per rack link: only one migration flies at a time
-  // on the 0 -> 1 rack pair; the rest wait in (priority, FIFO) order.
+  // One stream slot per rack link: every ticket leaves node 0's rack,
+  // so only one migration flies at a time; the rest wait in
+  // (priority, FIFO) order.
   MigrationModel model;
   model.link_bandwidth_mb_per_s = model.bandwidth_mb_per_s;
   DirectHarness h(4, model);
@@ -156,12 +156,11 @@ TEST(MigrationOrchestrator, LinkBudgetSerializesAndPriorityJumpsQueue) {
   }
 
   ASSERT_TRUE(h.orch->submit(1, h.node(0), h.node(1), 2, 2048.0,
-                             MigrationPriority::kRebalance, 0_s, 0, 1));
+                             MigrationPriority::kRebalance, 0_s));
   ASSERT_TRUE(h.orch->submit(2, h.node(0), h.node(2), 2, 2048.0,
-                             MigrationPriority::kRebalance, 0_s, 0, 1));
+                             MigrationPriority::kRebalance, 0_s));
   ASSERT_TRUE(h.orch->submit(3, h.node(0), h.node(3), 2, 2048.0,
-                             MigrationPriority::kCrashEvacuation, 0_s, 0,
-                             1));
+                             MigrationPriority::kCrashEvacuation, 0_s));
   EXPECT_EQ(h.orch->active_count(), 1u);
   EXPECT_EQ(h.orch->queued_count(), 2u);
   EXPECT_EQ(h.orch->tickets().at(1).phase, MigrationPhase::kPreCopy);
@@ -195,7 +194,7 @@ TEST(MigrationOrchestrator, PostCopyFallbackWhenPreCopyCannotConverge) {
   DirectHarness h(2, model);
   ASSERT_TRUE(h.node(0)->place_vm(make_vm(1)));
   ASSERT_TRUE(h.orch->submit(1, h.node(0), h.node(1), 2, 2048.0,
-                             MigrationPriority::kEopRetreat, 0_s, 0, 1));
+                             MigrationPriority::kEopRetreat, 0_s));
 
   // Round 1 at 2.048 (dirty 3072), round 2 at 5.12 (dirty 4608): rounds
   // exhausted -> commit now, drain until 5.12 + 0.05 + 4.608 = 9.778.
@@ -220,8 +219,7 @@ TEST(MigrationOrchestrator, SourceCrashMidRoundCancelsCleanly) {
   DirectHarness h(2, MigrationModel{});
   ASSERT_TRUE(h.node(0)->place_vm(make_vm(1)));
   ASSERT_TRUE(h.orch->submit(1, h.node(0), h.node(1), 2, 2048.0,
-                             MigrationPriority::kCrashEvacuation, 0_s, 0,
-                             1));
+                             MigrationPriority::kCrashEvacuation, 0_s));
   h.orch->advance(Seconds{1.0});  // mid round 1 (finishes at 2.048)
 
   h.node(0)->force_crash();
@@ -249,7 +247,7 @@ TEST(MigrationOrchestrator, DestCrashBeforeCutoverKeepsVmOnSource) {
   DirectHarness h(2, MigrationModel{});
   ASSERT_TRUE(h.node(0)->place_vm(make_vm(1)));
   ASSERT_TRUE(h.orch->submit(1, h.node(0), h.node(1), 2, 2048.0,
-                             MigrationPriority::kEopRetreat, 0_s, 0, 1));
+                             MigrationPriority::kEopRetreat, 0_s));
   h.orch->advance(Seconds{1.0});
 
   // The crash zeroes the node's reservation books itself; on_node_down
@@ -284,7 +282,7 @@ TEST(MigrationOrchestrator, PostCopySourceCrashLosesTheVm) {
   DirectHarness h(2, model);
   ASSERT_TRUE(h.node(0)->place_vm(make_vm(1)));
   ASSERT_TRUE(h.orch->submit(1, h.node(0), h.node(1), 2, 2048.0,
-                             MigrationPriority::kEopRetreat, 0_s, 0, 1));
+                             MigrationPriority::kEopRetreat, 0_s));
   h.orch->advance(Seconds{6.0});  // in post-copy drain, VM on dest
   ASSERT_EQ(h.orch->tickets().at(1).phase, MigrationPhase::kPostCopy);
 
@@ -302,7 +300,7 @@ TEST(MigrationOrchestrator, CancelRacesTimerThenVmMigratesAgain) {
   DirectHarness h(3, MigrationModel{});
   ASSERT_TRUE(h.node(0)->place_vm(make_vm(1)));
   ASSERT_TRUE(h.orch->submit(1, h.node(0), h.node(1), 2, 2048.0,
-                             MigrationPriority::kEopRetreat, 0_s, 0, 1));
+                             MigrationPriority::kEopRetreat, 0_s));
   h.orch->advance(Seconds{1.0});
 
   // Departure-style cancel with the round-completion message already in
@@ -317,8 +315,7 @@ TEST(MigrationOrchestrator, CancelRacesTimerThenVmMigratesAgain) {
   // keeps growing across tickets, so the old message cannot alias the
   // new ticket and the re-migration completes normally.
   ASSERT_TRUE(h.orch->submit(1, h.node(0), h.node(2), 2, 2048.0,
-                             MigrationPriority::kEopRetreat, Seconds{3.0},
-                             0, 2));
+                             MigrationPriority::kEopRetreat, Seconds{3.0}));
   h.orch->advance(Seconds{6.0});
   EXPECT_EQ(h.orch->stats().completed, 1u);
   EXPECT_EQ(h.orch->stats().submitted, 2u);
@@ -335,7 +332,7 @@ TEST(MigrationOrchestrator, CommitRefusalCancelsTheTicket) {
   DirectHarness h(2, MigrationModel{});
   ASSERT_TRUE(h.node(0)->place_vm(make_vm(1)));
   ASSERT_TRUE(h.orch->submit(1, h.node(0), h.node(1), 2, 2048.0,
-                             MigrationPriority::kEopRetreat, 0_s, 0, 1));
+                             MigrationPriority::kEopRetreat, 0_s));
   h.fail_commits = true;  // capacity raced away under the reservation
   h.orch->advance(Seconds{5.0});
   EXPECT_EQ(h.orch->stats().cancelled, 1u);
@@ -349,17 +346,17 @@ TEST(MigrationOrchestrator, SubmitRejectsDuplicatesAndBadTargets) {
   DirectHarness h(2, MigrationModel{});
   ASSERT_TRUE(h.node(0)->place_vm(make_vm(1)));
   EXPECT_FALSE(h.orch->submit(1, h.node(0), h.node(0), 2, 2048.0,
-                              MigrationPriority::kEopRetreat, 0_s, 0, 0));
+                              MigrationPriority::kEopRetreat, 0_s));
   EXPECT_FALSE(h.orch->submit(1, nullptr, h.node(1), 2, 2048.0,
-                              MigrationPriority::kEopRetreat, 0_s, 0, 1));
+                              MigrationPriority::kEopRetreat, 0_s));
   ASSERT_TRUE(h.orch->submit(1, h.node(0), h.node(1), 2, 2048.0,
-                             MigrationPriority::kEopRetreat, 0_s, 0, 1));
+                             MigrationPriority::kEopRetreat, 0_s));
   // Already in flight.
   EXPECT_FALSE(h.orch->submit(1, h.node(0), h.node(1), 2, 2048.0,
-                              MigrationPriority::kEopRetreat, 0_s, 0, 1));
+                              MigrationPriority::kEopRetreat, 0_s));
   // Reservation that cannot fit.
   EXPECT_FALSE(h.orch->submit(2, h.node(0), h.node(1), 99, 2048.0,
-                              MigrationPriority::kEopRetreat, 0_s, 0, 1));
+                              MigrationPriority::kEopRetreat, 0_s));
   EXPECT_EQ(h.orch->stats().submitted, 1u);
 }
 

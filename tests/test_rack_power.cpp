@@ -62,13 +62,19 @@ TEST(RackPower, RackPowerAggregatesNodes) {
 
 TEST(RackPower, UncappedAdmitsEverything) {
   CloudConfig config;
+  config.policy = SchedulerPolicy::kFirstFit;
+  config.nodes_per_rack = 2;
   config.rack_power_cap = Watt{0.0};
   auto cloud =
-      Cloud::make_uniform(config, node_spec(), hv::HvConfig{}, 2, 1);
-  hv::Vm vm;
-  vm.vcpus = 8;
-  vm.workload = stress::analytics_profile();
-  EXPECT_TRUE(cloud->rack_admits(cloud->node_ptrs()[0], vm));
+      Cloud::make_uniform(config, node_spec(), hv::HvConfig{}, 4, 1);
+  // Four hot VMs that each fill a node: a cap would turn most of them
+  // away (CapRejectsWorkOverBudget), no cap admits them all.
+  std::vector<trace::VmRequest> requests{
+      request_at(1, 8), request_at(2, 8), request_at(3, 8), request_at(4, 8)};
+  cloud->run(requests, Seconds{120.0});
+  EXPECT_EQ(cloud->stats().accepted, 4u);
+  EXPECT_EQ(cloud->stats().rejected, 0u);
+  EXPECT_EQ(cloud->stats().rejected_for_power, 0u);
 }
 
 TEST(RackPower, CapRejectsWorkOverBudget) {

@@ -18,10 +18,9 @@ hw::NodeSpec node_spec() {
 
 struct Fleet {
   Fleet() {
-    for (int i = 0; i < 3; ++i) {
+    for (std::size_t i = 0; i < 3; ++i) {
       nodes.push_back(std::make_unique<ComputeNode>(
-          "node-" + std::to_string(i), node_spec(), hv::HvConfig{},
-          static_cast<std::uint64_t>(i + 1)));
+          i, node_spec(), hv::HvConfig{}, static_cast<std::uint64_t>(i + 1)));
     }
     for (auto& node : nodes) ptrs.push_back(node.get());
   }
@@ -178,6 +177,15 @@ TEST(IndexedScheduler, SelfCheckDetectsUnsignaledMutation) {
   ASSERT_TRUE(fleet.ptrs[0]->place_vm(small_vm(7)));
   // No node_changed: the index is now stale and must say so.
   EXPECT_NE(engine.self_check(), "");
+}
+
+TEST(IndexedScheduler, SelfCheckDetectsNodeBoundAtWrongSlot) {
+  // The engine maps a node back to its leaf through node->slot(), so a
+  // fleet bound out of slot order would update the wrong leaves.
+  Fleet fleet;
+  IndexedScheduler engine(SchedulerPolicy::kFirstFit);
+  engine.bind({fleet.ptrs[0], fleet.ptrs[2], fleet.ptrs[1]});
+  EXPECT_EQ(engine.self_check(), "node at position 1 has slot 2");
 }
 
 TEST(RequestMapping, SlaToRequirements) {

@@ -55,10 +55,9 @@ TEST_P(PolicyChurnTest, LockstepChurnHoldsInvariants) {
 
   std::vector<std::unique_ptr<ComputeNode>> nodes;
   std::vector<ComputeNode*> ptrs;
-  for (int i = 0; i < kNodes; ++i) {
+  for (std::size_t i = 0; i < kNodes; ++i) {
     nodes.push_back(std::make_unique<ComputeNode>(
-        "node-" + std::to_string(i), node_spec(), hv::HvConfig{},
-        static_cast<std::uint64_t>(i + 1)));
+        i, node_spec(), hv::HvConfig{}, static_cast<std::uint64_t>(i + 1)));
     ptrs.push_back(nodes.back().get());
   }
 

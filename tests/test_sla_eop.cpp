@@ -37,7 +37,7 @@ daemons::SafeMargins test_margins(const hw::ChipSpec& chip) {
 TEST(SlaAwareEop, NoOpWithoutMargins) {
   hw::NodeSpec spec;
   spec.chip = hw::arm_soc_spec();
-  ComputeNode node("n0", spec, hv::HvConfig{}, 1);
+  ComputeNode node(0, spec, hv::HvConfig{}, 1);
   EXPECT_FALSE(node.has_margins());
   EXPECT_FALSE(node.apply_sla_aware_eop(1.5));
 }
@@ -45,7 +45,7 @@ TEST(SlaAwareEop, NoOpWithoutMargins) {
 TEST(SlaAwareEop, CriticalVmBacksOffAndPinsRefresh) {
   hw::NodeSpec spec;
   spec.chip = hw::arm_soc_spec();
-  ComputeNode node("n0", spec, hv::HvConfig{}, 1);
+  ComputeNode node(0, spec, hv::HvConfig{}, 1);
   node.set_margins(test_margins(spec.chip));
 
   // No critical VM: full depth, relaxed refresh.
@@ -76,7 +76,7 @@ TEST(SlaAwareEop, CriticalVmBacksOffAndPinsRefresh) {
 TEST(SlaAwareEop, IdempotentWhenNothingChanges) {
   hw::NodeSpec spec;
   spec.chip = hw::arm_soc_spec();
-  ComputeNode node("n0", spec, hv::HvConfig{}, 1);
+  ComputeNode node(0, spec, hv::HvConfig{}, 1);
   node.set_margins(test_margins(spec.chip));
   EXPECT_TRUE(node.apply_sla_aware_eop(1.5));
   EXPECT_FALSE(node.apply_sla_aware_eop(1.5));  // already there
