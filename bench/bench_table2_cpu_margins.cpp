@@ -73,8 +73,13 @@ ChipRow characterize(const hw::ChipSpec& spec, std::uint64_t seed) {
 }
 
 std::string range(double lo, double hi, int precision = 1) {
-  return "-" + TextTable::num(lo, precision) + "% / -" +
-         TextTable::num(hi, precision) + "%";
+  // Built with append: GCC 12 raises a false -Wrestrict on
+  // `"-" + std::string&&` once inlined.
+  std::string text = "-";
+  return text.append(TextTable::num(lo, precision))
+      .append("% / -")
+      .append(TextTable::num(hi, precision))
+      .append("%");
 }
 
 }  // namespace

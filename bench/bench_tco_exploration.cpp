@@ -4,12 +4,24 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include "common/parallel.h"
 #include "common/table.h"
 #include "tco/explorer.h"
 
 using namespace uniserver;
+
+namespace {
+
+/// "$x.yz". Built with append: GCC 12 raises a false -Wrestrict on
+/// `"$" + std::string&&` once inlined.
+std::string dollars(double value, int precision) {
+  std::string text = "$";
+  return text.append(TextTable::num(value, precision));
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
@@ -39,13 +51,11 @@ int main(int argc, char** argv) {
               return a.breakdown.total().value < b.breakdown.total().value;
             });
   auto emit = [&sweep](const tco::DesignPoint& point) {
-    sweep.add_row({"$" + TextTable::num(point.spec.electricity_per_kwh.value,
-                                        2),
+    sweep.add_row({dollars(point.spec.electricity_per_kwh.value, 2),
                    TextTable::num(point.spec.pue, 2),
                    TextTable::num(point.spec.server_avg_power.value, 0),
-                   "$" + TextTable::num(point.breakdown.total().value, 0),
-                   "$" + TextTable::num(point.cost_per_server_year.value,
-                                        0)});
+                   dollars(point.breakdown.total().value, 0),
+                   dollars(point.cost_per_server_year.value, 0)});
   };
   for (std::size_t i = 0; i < 3; ++i) emit(sorted[i]);
   sweep.add_row({"...", "", "", "", ""});
@@ -71,9 +81,9 @@ int main(int argc, char** argv) {
     const auto comparison = explorer.compare_edge_cloud(
         cloud, edge, cloud_rps, edge_rps, Dollar{wan});
     economics.add_row(
-        {"$" + TextTable::num(wan, 2),
-         "$" + TextTable::num(comparison.cloud_cost_per_million.value, 2),
-         "$" + TextTable::num(comparison.edge_cost_per_million.value, 2),
+        {dollars(wan, 2),
+         dollars(comparison.cloud_cost_per_million.value, 2),
+         dollars(comparison.edge_cost_per_million.value, 2),
          comparison.edge_wins ? "edge" : "cloud"});
   }
   economics.print();

@@ -29,7 +29,7 @@ struct PoolMetrics {
       "exec.pool.busy_workers", "workers",
       "Executors currently inside a parallel region");
   telemetry::Histogram& queue_wait = telemetry::histogram(
-      "exec.pool.queue_wait_us", 0.0, 10000.0, 100, "us",
+      "exec.pool.queue_wait_us", "us",
       "Queue latency: submit-to-start wait of a pool task");
 };
 

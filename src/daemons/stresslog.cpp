@@ -20,7 +20,7 @@ struct StressLogMetrics {
       "daemon.stresslog.ecc_events_observed", "events",
       "ECC events provoked during characterization sweeps");
   telemetry::Histogram& cycle_wall_ms = telemetry::histogram(
-      "daemon.stresslog.cycle_wall_ms", 0.0, 10000.0, 100, "ms",
+      "daemon.stresslog.cycle_wall_ms", "ms",
       "Wall-clock cost of one full characterization cycle");
   telemetry::Gauge& safe_offset = telemetry::gauge(
       "daemon.stresslog.last_safe_offset_pct", "%",

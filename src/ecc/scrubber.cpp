@@ -21,7 +21,7 @@ struct ScrubMetrics {
       "ecc.scrub.silent_corruptions", "words",
       "Decodes that returned wrong data as clean/corrected");
   telemetry::Histogram& pass_wall_us = telemetry::histogram(
-      "ecc.scrub.pass_wall_us", 0.0, 100000.0, 200, "us",
+      "ecc.scrub.pass_wall_us", "us",
       "Wall-clock latency of one scrub pass over the region");
 };
 

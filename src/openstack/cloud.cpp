@@ -40,7 +40,7 @@ struct CloudMetrics {
   telemetry::Gauge& energy_kwh = telemetry::gauge(
       "cloud.energy_kwh", "kwh", "Cumulative fleet energy this run");
   telemetry::Histogram& placement_wall_us = telemetry::histogram(
-      "cloud.placement_wall_us", 0.0, 1000.0, 100, "us",
+      "cloud.placement_wall_us", "us",
       "Wall-clock latency of one scheduler placement decision");
 };
 

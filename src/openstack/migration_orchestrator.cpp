@@ -38,13 +38,13 @@ struct MigMetrics {
       "cloud.mig.transferred_mb", "mb",
       "Cumulative migration copy traffic this run");
   telemetry::Histogram& downtime_ms = telemetry::histogram(
-      "cloud.mig.downtime_ms", 0.0, 1000.0, 100, "ms",
+      "cloud.mig.downtime_ms", "ms",
       "Per-migration VM pause (stop-and-copy or post-copy switch)");
   telemetry::Histogram& duration_s = telemetry::histogram(
-      "cloud.mig.duration_s", 0.0, 600.0, 120, "s",
+      "cloud.mig.duration_s", "s",
       "Per-migration wall time from link admission to completion");
   telemetry::Histogram& queue_wait_s = telemetry::histogram(
-      "cloud.mig.queue_wait_s", 0.0, 600.0, 120, "s",
+      "cloud.mig.queue_wait_s", "s",
       "Time a ticket waited for link bandwidth before starting");
 };
 

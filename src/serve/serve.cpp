@@ -26,10 +26,10 @@ struct ServeMetrics {
       "serve.queue_depth", "requests",
       "Outstanding requests across all VM queues after the last tick");
   telemetry::Histogram& latency_ms = telemetry::histogram(
-      "serve.latency_ms", 0.0, 20000.0, 2000, "ms",
+      "serve.latency_ms", "ms",
       "Request sojourn time (queue wait + service)");
   telemetry::Histogram& stall_ms = telemetry::histogram(
-      "serve.stall_ms", 0.0, 60000.0, 600, "ms",
+      "serve.stall_ms", "ms",
       "Duration of fault-path dispatch stalls applied to VM queues");
 };
 
@@ -102,10 +102,7 @@ std::uint64_t ReplicaBalancer::route(
 }
 
 ServeLayer::ServeLayer(const ServeConfig& config)
-    : config_(config),
-      rng_(config.seed),
-      latency_ms_(0.0, config.histogram_hi_ms,
-                  std::max<std::size_t>(1, config.histogram_buckets)) {}
+    : config_(config), rng_(config.seed) {}
 
 std::uint64_t ServeLayer::service_of(std::uint64_t vm_id) const {
   if (config_.replica_groups <= 1) return vm_id;

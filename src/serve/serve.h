@@ -62,9 +62,6 @@ struct ServeConfig {
   double refresh_overhead_nominal{0.08};
   /// Day shape of the request rate (only the factor fields are read).
   trace::DiurnalConfig diurnal{};
-  /// Latency histogram range/resolution (milliseconds).
-  double histogram_hi_ms{20000.0};
-  std::size_t histogram_buckets{2000};
 };
 
 /// Cumulative serving books. Conservation (checked by the fuzz oracle):

@@ -77,8 +77,6 @@ std::string to_json(const MetricsRegistry& registry,
     if (sample.meta.type == MetricType::kHistogram) {
       out << ", \"count\": " << sample.count
           << ", \"invalid\": " << sample.invalid
-          << ", \"underflow\": " << sample.underflow
-          << ", \"overflow\": " << sample.overflow
           << ", \"sum\": " << json_number(sample.sum)
           << ", \"mean\": " << json_number(sample.value)
           << ", \"min\": " << json_number(sample.min)
@@ -121,11 +119,10 @@ std::string to_json(const MetricsRegistry& registry,
 }
 
 CsvWriter metrics_csv(const MetricsRegistry& registry) {
-  // New histogram columns are appended after the original nine so
-  // column-index consumers of older snapshots keep working.
+  // p999, min and max follow the original nine columns so column-index
+  // consumers of older snapshots keep working.
   CsvWriter csv({"metric", "type", "unit", "value", "count", "sum", "p50",
-                 "p95", "p99", "p999", "underflow", "overflow", "min",
-                 "max"});
+                 "p95", "p99", "p999", "min", "max"});
   for (const MetricSample& sample : registry.snapshot()) {
     if (sample.meta.type == MetricType::kHistogram) {
       csv.add_row({sample.meta.name, to_string(sample.meta.type),
@@ -136,14 +133,12 @@ CsvWriter metrics_csv(const MetricsRegistry& registry) {
                    format_double(sample.p95, 10),
                    format_double(sample.p99, 10),
                    format_double(sample.p999, 10),
-                   std::to_string(sample.underflow),
-                   std::to_string(sample.overflow),
                    format_double(sample.min, 10),
                    format_double(sample.max, 10)});
     } else {
       csv.add_row({sample.meta.name, to_string(sample.meta.type),
                    sample.meta.unit, format_double(sample.value, 10), "", "",
-                   "", "", "", "", "", "", "", ""});
+                   "", "", "", "", "", ""});
     }
   }
   return csv;

@@ -21,8 +21,8 @@ std::string to_json(const MetricsRegistry& registry,
                     const TraceBuffer* tracer = nullptr);
 
 /// Metric snapshot as CSV rows:
-/// metric,type,unit,value,count,sum,p50,p95,p99 (histogram-only cells
-/// empty for counters/gauges).
+/// metric,type,unit,value,count,sum,p50,p95,p99,p999,min,max
+/// (histogram-only cells empty for counters/gauges).
 CsvWriter metrics_csv(const MetricsRegistry& registry);
 
 /// Trace ring as CSV rows: sim_time_s,component,name,tags

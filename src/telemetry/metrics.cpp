@@ -1,6 +1,7 @@
 #include "telemetry/metrics.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -19,29 +20,57 @@ const char* to_string(MetricType type) {
   return "?";
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(std::max<std::size_t>(1, buckets)) {
-  if (!(hi > lo)) throw std::logic_error("Histogram: hi must exceed lo");
+namespace {
+
+// The one bucket layout every histogram shares (HDR-style log-linear).
+// Each power of two in [2^kMinExp, 2^(kMinExp + kOctaves)) splits into
+// 2^kSubBits equal-width buckets, so a bucket is at most 1/64 of its
+// lower edge wide. Bucket 0 holds everything below the range (zero,
+// negatives, denormals) and the last bucket everything above it.
+constexpr int kSubBits = 6;
+constexpr int kMinExp = -12;  // 2^-12 ~ 2.4e-4
+constexpr int kOctaves = 40;  // 2^28 ~ 2.7e8
+constexpr std::size_t kInRange = std::size_t{kOctaves} << kSubBits;
+constexpr std::size_t kBuckets = kInRange + 2;
+/// Widest bucket (the first of an octave), relative to its lower edge.
+constexpr double kWidth = 1.0 / (1 << kSubBits);
+/// Bound on a percentile's relative error inside the range: 1/129,
+/// about 0.78%.
+constexpr double kMaxRelError = kWidth / (2.0 + kWidth);
+
+// For x >= 0 the IEEE-754 bit pattern orders like the value, and
+// dropping all but the top kSubBits mantissa bits leaves the key
+// (exponent, sub-bucket): one log-linear bucket per key.
+constexpr int kKeyShift = 52 - kSubBits;
+constexpr std::int64_t kFirstKey = std::int64_t{1023 + kMinExp} << kSubBits;
+
+std::size_t bucket_of(double x) {
+  // A negative x has the sign bit set, so its key is negative and it
+  // lands in bucket 0 with zero. No floor, division or libm call.
+  const std::int64_t key =
+      (std::bit_cast<std::int64_t>(x) >> kKeyShift) - kFirstKey + 1;
+  return static_cast<std::size_t>(
+      std::clamp<std::int64_t>(key, 0, std::int64_t{kBuckets} - 1));
 }
+
+/// Lower edge of in-range bucket `i` (1 <= i <= kInRange + 1).
+double bucket_low(std::size_t i) {
+  return std::bit_cast<double>(
+      (static_cast<std::int64_t>(i) - 1 + kFirstKey) << kKeyShift);
+}
+
+}  // namespace
+
+Histogram::Histogram() : counts_(kBuckets) {}
 
 void Histogram::record(double x) {
   if (!std::isfinite(x)) {
-    // NaN/±inf would make the int64 bucket cast UB and poison sum_;
-    // reject the sample but keep it visible via the invalid tally.
+    // NaN/±inf carry no bucket and would poison sum_; reject the
+    // sample but keep it visible via the invalid tally.
     invalid_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  const double width = bucket_width();
-  auto index = static_cast<std::int64_t>(std::floor((x - lo_) / width));
-  if (index < 0) {
-    underflow_.fetch_add(1, std::memory_order_relaxed);
-  } else if (index >= static_cast<std::int64_t>(counts_.size())) {
-    overflow_.fetch_add(1, std::memory_order_relaxed);
-  }
-  index = std::clamp<std::int64_t>(
-      index, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-  counts_[static_cast<std::size_t>(index)].fetch_add(
-      1, std::memory_order_relaxed);
+  counts_[bucket_of(x)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(x, std::memory_order_relaxed);
   update_min(x);
@@ -75,22 +104,6 @@ double Histogram::mean() const {
   return n == 0 ? 0.0 : sum() / static_cast<double>(n);
 }
 
-std::uint64_t Histogram::bucket_count(std::size_t i) const {
-  return counts_.at(i).load(std::memory_order_relaxed);
-}
-
-double Histogram::bucket_width() const {
-  return (hi_ - lo_) / static_cast<double>(counts_.size());
-}
-
-double Histogram::bucket_low(std::size_t i) const {
-  return lo_ + bucket_width() * static_cast<double>(i);
-}
-
-double Histogram::bucket_high(std::size_t i) const {
-  return lo_ + bucket_width() * static_cast<double>(i + 1);
-}
-
 double Histogram::percentile(double q) const {
   const std::uint64_t n = count();
   if (n == 0) return 0.0;
@@ -98,39 +111,40 @@ double Histogram::percentile(double q) const {
   // Rank of the sample the percentile falls on (1-based, ceil).
   const auto target = static_cast<std::uint64_t>(
       std::max(1.0, std::ceil(q / 100.0 * static_cast<double>(n))));
-  // Clamped mass must not masquerade as edge-bucket mass: a rank that
-  // falls into the underflow (overflow) gets the true observed extreme,
-  // otherwise e.g. p999 of a latency histogram saturates at hi.
-  const std::uint64_t under = underflow();
-  const std::uint64_t over = overflow();
-  if (target <= under) return observed_min();
-  if (target > n - over) return observed_max();
-  std::uint64_t cumulative = under;
+  const double min_seen = observed_min();
+  const double max_seen = observed_max();
+  if (target == 1) return min_seen;
+  if (target >= n) return max_seen;
+  std::uint64_t cumulative = 0;
   for (std::size_t i = 0; i < counts_.size(); ++i) {
-    // Edge buckets hold the clamped mass too; subtract it so the
-    // in-range interpolation only spans genuinely in-range samples.
-    std::uint64_t in_bucket = bucket_count(i);
-    if (i == 0) in_bucket -= std::min(in_bucket, under);
-    if (i + 1 == counts_.size()) in_bucket -= std::min(in_bucket, over);
-    if (cumulative + in_bucket >= target) {
-      // Linear interpolation inside the bucket: exact to one width.
-      const double fraction =
-          in_bucket == 0 ? 0.0
-                         : static_cast<double>(target - cumulative) /
-                               static_cast<double>(in_bucket);
-      return bucket_low(i) + fraction * bucket_width();
+    const std::uint64_t in_bucket =
+        counts_[i].load(std::memory_order_relaxed);
+    if (cumulative + in_bucket < target) {
+      cumulative += in_bucket;
+      continue;
     }
-    cumulative += in_bucket;
+    // Past either end of the range no bucket edges bound the sample.
+    if (i == 0) return min_seen;
+    if (i + 1 == counts_.size()) return max_seen;
+    const double low = bucket_low(i);
+    const double high = bucket_low(i + 1);
+    const double fraction = static_cast<double>(target - cumulative) /
+                            static_cast<double>(in_bucket);
+    double reading = low + fraction * (high - low);
+    // The interpolated reading may sit anywhere in a bucket up to 2e
+    // wide; [high * (1 - e), low * (1 + e)] is within e of every value
+    // the bucket can hold (one point for the widest buckets).
+    reading = std::min(std::max(reading, high * (1.0 - kMaxRelError)),
+                       low * (1.0 + kMaxRelError));
+    return std::min(std::max(reading, min_seen), max_seen);
   }
-  return observed_max();
+  return max_seen;  // records raced past count(); the top rank is the max
 }
 
 void Histogram::reset() {
   for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);
   invalid_.store(0, std::memory_order_relaxed);
-  underflow_.store(0, std::memory_order_relaxed);
-  overflow_.store(0, std::memory_order_relaxed);
   sum_.store(0.0, std::memory_order_relaxed);
   min_.store(std::numeric_limits<double>::infinity(),
              std::memory_order_relaxed);
@@ -178,8 +192,7 @@ Gauge& MetricsRegistry::gauge(const std::string& name,
   return *it->second.gauge;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name, double lo,
-                                      double hi, std::size_t buckets,
+Histogram& MetricsRegistry::histogram(const std::string& name,
                                       const std::string& unit,
                                       const std::string& help) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -187,7 +200,7 @@ Histogram& MetricsRegistry::histogram(const std::string& name, double lo,
   if (it == slots_.end()) {
     Slot slot;
     slot.meta = MetricMeta{name, MetricType::kHistogram, unit, help};
-    slot.histogram = std::make_unique<Histogram>(lo, hi, buckets);
+    slot.histogram = std::make_unique<Histogram>();
     it = slots_.emplace(name, std::move(slot)).first;
   } else if (it->second.meta.type != MetricType::kHistogram) {
     type_mismatch(it->second.meta, MetricType::kHistogram);
@@ -195,39 +208,10 @@ Histogram& MetricsRegistry::histogram(const std::string& name, double lo,
   return *it->second.histogram;
 }
 
-const MetricsRegistry::Slot* MetricsRegistry::find_slot(
-    const std::string& name) const {
-  auto it = slots_.find(name);
-  return it != slots_.end() ? &it->second : nullptr;
-}
-
 const Counter* MetricsRegistry::find_counter(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const Slot* slot = find_slot(name);
-  return slot ? slot->counter.get() : nullptr;
-}
-
-const Gauge* MetricsRegistry::find_gauge(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const Slot* slot = find_slot(name);
-  return slot ? slot->gauge.get() : nullptr;
-}
-
-const Histogram* MetricsRegistry::find_histogram(
-    const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const Slot* slot = find_slot(name);
-  return slot ? slot->histogram.get() : nullptr;
-}
-
-bool MetricsRegistry::contains(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return find_slot(name) != nullptr;
-}
-
-std::size_t MetricsRegistry::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return slots_.size();
+  auto it = slots_.find(name);
+  return it != slots_.end() ? it->second.counter.get() : nullptr;
 }
 
 std::vector<MetricSample> MetricsRegistry::snapshot() const {
@@ -248,8 +232,6 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
         sample.value = slot.histogram->mean();
         sample.count = slot.histogram->count();
         sample.invalid = slot.histogram->invalid();
-        sample.underflow = slot.histogram->underflow();
-        sample.overflow = slot.histogram->overflow();
         sample.sum = slot.histogram->sum();
         sample.p50 = slot.histogram->percentile(50.0);
         sample.p95 = slot.histogram->percentile(95.0);

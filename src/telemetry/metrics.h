@@ -3,10 +3,13 @@
 // The paper's ecosystem is built on continuous low-level monitoring
 // (HealthLog/StressLog feeding the Predictor and the cloud layer); this
 // library is the reproduction's equivalent for observing the *stack
-// itself*: every layer registers counters, gauges and fixed-bucket
-// histograms under a stable dotted namespace (`sim.`, `daemon.*`,
-// `ecc.`, `hv.`, `cloud.`) and exporters turn one snapshot into JSON or
-// CSV (see export.h, docs/OBSERVABILITY.md for the catalog).
+// itself*: every layer registers counters, gauges and histograms under
+// a stable dotted namespace (`sim.`, `daemon.*`, `ecc.`, `hv.`,
+// `cloud.`) and exporters turn one snapshot into JSON or CSV (see
+// export.h, docs/OBSERVABILITY.md for the catalog). Histograms take no
+// range: all of them share one log-linear bucket layout whose
+// percentiles stay within 1% of the exact value from sub-microsecond
+// to day-long quantities, so a tail never reads as its maximum.
 //
 // Lock-cheap by design: registration (rare) takes a mutex; the hot
 // paths — Counter::add, Gauge::set, Histogram::record — are relaxed
@@ -68,21 +71,18 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Fixed-width-bucket histogram over [lo, hi); out-of-range samples
-/// clamp into the edge buckets so no mass is lost (same policy as
-/// common/stats.h), but the clamp is *tracked*: `underflow()` and
-/// `overflow()` count the samples that landed outside the range and
-/// `observed_min()`/`observed_max()` keep the true extremes, so tail
-/// quantiles are never silently flattened to `hi` — an SLO layer must
-/// be able to trust p999. Non-finite samples (NaN/±inf — e.g. a rate
-/// over a zero-duration interval) are rejected and tallied in
-/// `invalid()` instead of poisoning the buckets. Percentiles
-/// interpolate linearly inside a bucket, so they are exact to within
-/// one bucket width for in-range mass; ranks that fall into the
-/// underflow/overflow mass return the true observed min/max.
+/// Log-linear histogram (HDR-style). Every histogram shares one bucket
+/// layout, fixed in metrics.cpp: each power of two in [2^-12, 2^28)
+/// (2.4e-4 to 2.7e8: up to 4.5 min in us, 3 days in ms, 8 years in s)
+/// splits into 64 equal-width buckets, plus one bucket below the range
+/// (zero, mostly) and one above it. A percentile reads within 1% of the
+/// exact nearest-rank sample whenever that sample lies in the range;
+/// rank 1 and rank n read the observed min and max exactly. Non-finite
+/// samples (NaN/±inf — e.g. a rate over a zero-duration interval) are
+/// rejected and tallied in `invalid()` instead of poisoning the buckets.
 class Histogram {
  public:
-  Histogram(double lo, double hi, std::size_t buckets);
+  Histogram();
 
   void record(double x);
 
@@ -93,31 +93,15 @@ class Histogram {
   std::uint64_t invalid() const {
     return invalid_.load(std::memory_order_relaxed);
   }
-  /// Finite samples below lo / at-or-above hi (clamped into the edge
-  /// buckets but counted here so the distortion is visible).
-  std::uint64_t underflow() const {
-    return underflow_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t overflow() const {
-    return overflow_.load(std::memory_order_relaxed);
-  }
   /// True extremes over all recorded finite samples (0 when empty).
   double observed_min() const;
   double observed_max() const;
   double sum() const { return sum_.load(std::memory_order_relaxed); }
   double mean() const;
 
-  std::size_t buckets() const { return counts_.size(); }
-  std::uint64_t bucket_count(std::size_t i) const;
-  double bucket_low(std::size_t i) const;
-  double bucket_high(std::size_t i) const;
-  double bucket_width() const;
-  double lo() const { return lo_; }
-  double hi() const { return hi_; }
-
-  /// `q` in [0, 100]. Returns 0 for an empty histogram. Ranks landing
-  /// in the underflow (resp. overflow) mass report the true observed
-  /// min (resp. max) rather than a value clamped to [lo, hi].
+  /// `q` in [0, 100]. Returns 0 for an empty histogram. Interpolates
+  /// inside the bucket that holds the nearest-rank sample, then clamps
+  /// to [observed_min(), observed_max()].
   double percentile(double q) const;
 
   void reset();
@@ -127,13 +111,9 @@ class Histogram {
   void update_min(double x);
   void update_max(double x);
 
-  double lo_;
-  double hi_;
   std::vector<std::atomic<std::uint64_t>> counts_;
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> invalid_{0};
-  std::atomic<std::uint64_t> underflow_{0};
-  std::atomic<std::uint64_t> overflow_{0};
   std::atomic<double> sum_{0.0};
   // +inf/-inf sentinels while empty; accessors report 0 for count()==0.
   std::atomic<double> min_{std::numeric_limits<double>::infinity()};
@@ -149,8 +129,6 @@ struct MetricSample {
   // Histogram-only fields (zero otherwise).
   std::uint64_t count{0};
   std::uint64_t invalid{0};
-  std::uint64_t underflow{0};
-  std::uint64_t overflow{0};
   double sum{0.0};
   double p50{0.0};
   double p95{0.0};
@@ -176,17 +154,11 @@ class MetricsRegistry {
                    const std::string& help = "");
   Gauge& gauge(const std::string& name, const std::string& unit = "",
                const std::string& help = "");
-  Histogram& histogram(const std::string& name, double lo, double hi,
-                       std::size_t buckets, const std::string& unit = "",
+  Histogram& histogram(const std::string& name, const std::string& unit = "",
                        const std::string& help = "");
 
   /// Lookup without registering; nullptr if absent or a different type.
   const Counter* find_counter(const std::string& name) const;
-  const Gauge* find_gauge(const std::string& name) const;
-  const Histogram* find_histogram(const std::string& name) const;
-
-  bool contains(const std::string& name) const;
-  std::size_t size() const;
 
   /// All metrics, sorted by name.
   std::vector<MetricSample> snapshot() const;
@@ -207,10 +179,6 @@ class MetricsRegistry {
     std::unique_ptr<Histogram> histogram;
   };
 
-  /// Shared lookup used by find_counter / find_gauge / find_histogram
-  /// and contains(); nullptr if the name was never registered.
-  const Slot* find_slot(const std::string& name) const US_REQUIRES(mutex_);
-
   mutable std::mutex mutex_;
   std::map<std::string, Slot> slots_ US_GUARDED_BY(mutex_);
 };
@@ -227,12 +195,10 @@ inline Gauge& gauge(const std::string& name, const std::string& unit = "",
   return MetricsRegistry::global().gauge(name, unit, help);
 }
 
-inline Histogram& histogram(const std::string& name, double lo, double hi,
-                            std::size_t buckets,
+inline Histogram& histogram(const std::string& name,
                             const std::string& unit = "",
                             const std::string& help = "") {
-  return MetricsRegistry::global().histogram(name, lo, hi, buckets, unit,
-                                             help);
+  return MetricsRegistry::global().histogram(name, unit, help);
 }
 
 }  // namespace uniserver::telemetry

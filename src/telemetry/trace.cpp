@@ -48,11 +48,6 @@ std::uint64_t TraceBuffer::dropped() const {
   return recorded_ - ring_.size();
 }
 
-std::size_t TraceBuffer::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return ring_.size();
-}
-
 void TraceBuffer::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   ring_.clear();

@@ -45,7 +45,6 @@ class TraceBuffer {
   std::uint64_t recorded() const;
   /// Events overwritten by wraparound.
   std::uint64_t dropped() const;
-  std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
 
   void clear();

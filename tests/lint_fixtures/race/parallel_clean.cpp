@@ -17,7 +17,7 @@ double campaign(std::size_t n) {
   std::atomic<std::uint64_t> flips{0};      // atomic accumulator
   std::mutex mu;
   std::vector<double> outliers;             // lock-protected
-  auto& hist = uniserver::telemetry::histogram("demo.sample", 0.0, 1.0, 10);
+  auto& hist = uniserver::telemetry::histogram("demo.sample");
 
   uniserver::par::parallel_for_each(n, [&](std::size_t i) {
     double local = measure(i);              // body-local scratch

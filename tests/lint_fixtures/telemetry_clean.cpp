@@ -19,7 +19,7 @@ inline Metric& gauge(const std::string&, const char* = "", const char* = "") {
   static Metric m;
   return m;
 }
-inline Metric& histogram(const std::string&, double, double, int,
+inline Metric& histogram(const std::string&, const char* = "",
                          const char* = "") {
   static Metric m;
   return m;
@@ -30,7 +30,7 @@ inline void trace(double, const char*, const char*) {}
 inline void instrumented(int key) {
   telemetry::counter("demo.requests", "requests").add();
   telemetry::gauge("demo.depth").set(1.0);
-  telemetry::histogram("demo.latency_us", 0.0, 100.0, 32).add();
+  telemetry::histogram("demo.latency_us").add();
   telemetry::counter(std::string("demo.by_key.") + std::to_string(key)).add();
   telemetry::trace(0.0, "demo", "started");
 }

@@ -23,6 +23,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/csv.h"
@@ -273,6 +274,20 @@ TEST(GoldenTraces, ServeCounters) {
   csv.add_row({"p99_ms", fmt(layer.latency_percentile_ms(99.0))});
   csv.add_row({"p999_ms", fmt(layer.latency_percentile_ms(99.9))});
   expect_matches_golden("serve_counters.csv", csv);
+
+  // The pinned tail is the tail, not the maximum: each reading stays
+  // within 1% of the exact nearest-rank value, rank ceil(q/100 * n) of
+  // this day's 2,593 sorted raw latencies. The layer keeps no raw
+  // samples, so the exact values were computed once from them and are
+  // pinned here. Rank n reads the exact maximum.
+  for (const auto& [q, exact_ms] : {std::pair{50.0, 44.118507758185},
+                                    std::pair{99.0, 51752.515014276752},
+                                    std::pair{99.9, 60264.964700236676}}) {
+    EXPECT_NEAR(layer.latency_percentile_ms(q), exact_ms, 0.01 * exact_ms)
+        << "q=" << q;
+  }
+  EXPECT_DOUBLE_EQ(layer.latency_percentile_ms(100.0),
+                   s.max_latency_s * 1000.0);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -174,8 +175,17 @@ TEST(Parallel, PoolMetricsAreRegistered) {
   auto* regions = registry.find_counter("exec.pool.regions");
   ASSERT_NE(tasks, nullptr);
   ASSERT_NE(regions, nullptr);
-  ASSERT_NE(registry.find_gauge("exec.pool.busy_workers"), nullptr);
-  ASSERT_NE(registry.find_histogram("exec.pool.queue_wait_us"), nullptr);
+  auto registered_as = [&registry](const std::string& name) {
+    for (const telemetry::MetricSample& sample : registry.snapshot()) {
+      if (sample.meta.name == name) return sample.meta.type;
+    }
+    ADD_FAILURE() << name << " not registered";
+    return telemetry::MetricType::kCounter;
+  };
+  EXPECT_EQ(registered_as("exec.pool.busy_workers"),
+            telemetry::MetricType::kGauge);
+  EXPECT_EQ(registered_as("exec.pool.queue_wait_us"),
+            telemetry::MetricType::kHistogram);
   const std::uint64_t tasks_before = tasks->value();
   const std::uint64_t regions_before = regions->value();
   par::parallel_for_each(64, [](std::size_t) {});

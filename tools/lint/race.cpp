@@ -533,7 +533,7 @@ void check_message_plane(const FileInput& file,
   // monotone counters that must never rewind.
   static const std::set<std::string> kTimeNames = {"now", "now_",
                                                    "sim_time_", "clock_"};
-  static const std::set<std::string> kSeqNames = {"next_seq_", "submit_seq_"};
+  static const std::set<std::string> kSeqNames = {"next_seq_"};
 
   for (const WriteSite& w : collect_writes(toks, 0, toks.size())) {
     if (!w.lv.resolved) continue;
