@@ -306,13 +306,11 @@ namespace {
 /// (`cloud.sched.*` is excluded — see docs/OBSERVABILITY.md).
 std::map<std::string, std::uint64_t> cloud_counter_snapshot() {
   std::map<std::string, std::uint64_t> values;
-  for (const telemetry::MetricSample& sample :
-       telemetry::MetricsRegistry::global().snapshot()) {
-    if (sample.meta.type != telemetry::MetricType::kCounter) continue;
-    const std::string& name = sample.meta.name;
+  for (const auto& [name, value] :
+       telemetry::MetricsRegistry::global().counter_values()) {
     if (name.rfind("cloud.", 0) != 0) continue;
     if (name.rfind("cloud.sched.", 0) == 0) continue;
-    values[name] = static_cast<std::uint64_t>(sample.value);
+    values[name] = value;
   }
   return values;
 }

@@ -168,16 +168,9 @@ void TelemetryConsistencyOracle::check(const StackView& view,
                                        std::vector<Violation>& out) {
   if (view.registry == nullptr) return;
   const Seconds at = checkpoint_time(view);
-  const auto snapshot = view.registry->snapshot();
-
-  // snapshot() is sorted by name, and last_counters_ preserves that
-  // order, so one merge pass compares the two.
-  std::vector<std::pair<std::string, double>> current;
-  current.reserve(snapshot.size());
-  for (const auto& sample : snapshot) {
-    if (sample.meta.type != telemetry::MetricType::kCounter) continue;
-    current.emplace_back(sample.meta.name, sample.value);
-  }
+  // counter_values() is sorted by name, and last_counters_ preserves
+  // that order, so one merge pass compares the two.
+  auto current = view.registry->counter_values();
 
   std::size_t i = 0;
   for (const auto& [prev_name, prev_value] : last_counters_) {
@@ -191,8 +184,9 @@ void TelemetryConsistencyOracle::check(const StackView& view,
     if (current[i].second < prev_value) {
       out.push_back(Violation{
           name(),
-          "counter '" + prev_name + "' decreased: " + fmt(prev_value) +
-              " -> " + fmt(current[i].second),
+          "counter '" + prev_name + "' decreased: " +
+              std::to_string(prev_value) + " -> " +
+              std::to_string(current[i].second),
           at});
     }
   }

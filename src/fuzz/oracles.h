@@ -116,7 +116,7 @@ class TelemetryConsistencyOracle final : public Oracle {
 
  private:
   /// Previous counter readings by metric name (monotonicity baseline).
-  std::vector<std::pair<std::string, double>> last_counters_;
+  std::vector<std::pair<std::string, std::uint64_t>> last_counters_;
 };
 
 class MigrationConservationOracle final : public Oracle {

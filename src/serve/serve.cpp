@@ -47,14 +47,11 @@ VcpuQueue::Offer VcpuQueue::offer(Seconds arrival, Seconds service) {
   Offer offer;
   if (in_flight_.size() >= cap_) return offer;
   // Earliest-free server, ties to the lowest index: FIFO dispatch.
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < free_at_.size(); ++i) {
-    if (free_at_[i] < free_at_[best]) best = i;
-  }
-  const double start = std::max(arrival.value, free_at_[best]);
-  const double completion = start + std::max(0.0, service.value);
-  free_at_[best] = completion;
-  in_flight_.push(completion);
+  double& horizon = *std::min_element(free_at_.begin(), free_at_.end());
+  const double completion =
+      std::max(arrival.value, horizon) + std::max(0.0, service.value);
+  horizon = completion;
+  in_flight_.push_back(completion);
   offer.admitted = true;
   offer.completion = Seconds{completion};
   offer.latency = Seconds{completion - arrival.value};
@@ -69,12 +66,8 @@ void VcpuQueue::stall(Seconds at, Seconds duration) {
 }
 
 std::uint64_t VcpuQueue::drain(Seconds now) {
-  std::uint64_t completed = 0;
-  while (!in_flight_.empty() && in_flight_.top() <= now.value) {
-    in_flight_.pop();
-    ++completed;
-  }
-  return completed;
+  return std::erase_if(in_flight_,
+                       [now](double c) { return c <= now.value; });
 }
 
 Seconds VcpuQueue::backlog(Seconds now) const {
@@ -85,22 +78,6 @@ Seconds VcpuQueue::backlog(Seconds now) const {
   return Seconds{total};
 }
 
-std::uint64_t ReplicaBalancer::route(
-    const std::vector<std::pair<std::uint64_t, Seconds>>& backlogs) {
-  std::uint64_t best_id = 0;
-  double best_backlog = 0.0;
-  bool first = true;
-  for (const auto& [id, backlog] : backlogs) {
-    if (first || backlog.value < best_backlog ||
-        (backlog.value == best_backlog && id < best_id)) {
-      best_id = id;
-      best_backlog = backlog.value;
-      first = false;
-    }
-  }
-  return best_id;
-}
-
 ServeLayer::ServeLayer(const ServeConfig& config)
     : config_(config), rng_(config.seed) {}
 
@@ -109,47 +86,52 @@ std::uint64_t ServeLayer::service_of(std::uint64_t vm_id) const {
   return vm_id % static_cast<std::uint64_t>(config_.replica_groups);
 }
 
+namespace {
+constexpr auto kVmId = [](const auto& replica) { return replica.request.id; };
+}  // namespace
+
+ServeLayer::Replica* ServeLayer::find_replica(std::uint64_t vm_id) {
+  const auto sit = services_.find(service_of(vm_id));
+  if (sit == services_.end()) return nullptr;
+  const auto it = std::ranges::lower_bound(sit->second, vm_id, {}, kVmId);
+  return it != sit->second.end() && it->request.id == vm_id ? &*it
+                                                            : nullptr;
+}
+
 void ServeLayer::on_vm_placed(const trace::VmRequest& request,
                               const hw::ServerNode* node) {
   Replica replica{request, node,
                   VcpuQueue(request.vcpus, config_.queue_cap)};
-  replicas_.insert_or_assign(request.id, std::move(replica));
   auto& members = services_[service_of(request.id)];
-  const auto pos =
-      std::lower_bound(members.begin(), members.end(), request.id);
-  if (pos == members.end() || *pos != request.id) {
-    members.insert(pos, request.id);
+  const auto pos = std::ranges::lower_bound(members, request.id, {}, kVmId);
+  if (pos != members.end() && pos->request.id == request.id) {
+    *pos = std::move(replica);
+  } else {
+    members.insert(pos, std::move(replica));
   }
 }
 
 void ServeLayer::on_vm_moved(std::uint64_t vm_id,
                              const hw::ServerNode* node) {
-  const auto it = replicas_.find(vm_id);
-  if (it != replicas_.end()) it->second.node = node;
+  if (Replica* replica = find_replica(vm_id)) replica->node = node;
 }
 
-void ServeLayer::on_vm_removed(std::uint64_t vm_id) { drop_vm(vm_id); }
-
-void ServeLayer::drop_vm(std::uint64_t vm_id) {
-  const auto it = replicas_.find(vm_id);
-  if (it == replicas_.end()) return;
-  const auto orphaned =
-      static_cast<std::uint64_t>(it->second.queue.outstanding());
+void ServeLayer::on_vm_removed(std::uint64_t vm_id) {
+  const Replica* replica = find_replica(vm_id);
+  if (replica == nullptr) return;
+  const std::uint64_t orphaned = replica->queue.outstanding();
   stats_.dropped_lost += orphaned;
   metrics().dropped.add(orphaned);
-  const auto sit = services_.find(service_of(vm_id));
-  if (sit != services_.end()) {
-    std::erase(sit->second, vm_id);
-    if (sit->second.empty()) services_.erase(sit);
-  }
-  replicas_.erase(it);
+  auto& members = services_.at(service_of(vm_id));
+  members.erase(members.begin() + (replica - members.data()));
+  if (members.empty()) services_.erase(service_of(vm_id));
 }
 
 void ServeLayer::add_stall(std::uint64_t vm_id, Seconds at,
                            Seconds duration) {
-  const auto it = replicas_.find(vm_id);
-  if (it == replicas_.end()) return;
-  it->second.queue.stall(at, duration);
+  Replica* replica = find_replica(vm_id);
+  if (replica == nullptr) return;
+  replica->queue.stall(at, duration);
   ++stats_.stalls;
   metrics().stalls.add();
   metrics().stall_ms.record(duration.value * 1000.0);
@@ -183,21 +165,11 @@ double ServeLayer::speed_factor(const Replica& replica) const {
   return 1.0 / std::max(1e-9, denom);
 }
 
-void ServeLayer::dispatch(std::uint64_t service, Seconds arrival) {
+void ServeLayer::dispatch(std::vector<Replica>& members, Seconds arrival) {
   ++stats_.generated;
   metrics().generated.add();
-  const auto sit = services_.find(service);
-  if (sit == services_.end() || sit->second.empty()) {
-    ++stats_.dropped_unroutable;
-    metrics().dropped.add();
-    return;
-  }
-  std::vector<std::pair<std::uint64_t, Seconds>> backlogs;
-  backlogs.reserve(sit->second.size());
-  for (std::uint64_t id : sit->second) {
-    backlogs.emplace_back(id, replicas_.at(id).queue.backlog(arrival));
-  }
-  Replica& replica = replicas_.at(ReplicaBalancer::route(backlogs));
+  Replica& replica = members[ReplicaBalancer::route(members, arrival,
+                                                    &Replica::queue)];
   const double demand =
       rng_.exponential(1.0 / std::max(1e-9, config_.mean_service.value));
   const Seconds service_time{demand / speed_factor(replica)};
@@ -238,21 +210,17 @@ void ServeLayer::advance(Seconds window_end, Seconds window) {
 
   // Bursts due in this window fire first, oldest first (stable on
   // equal timestamps so injection order is preserved).
-  std::stable_sort(pending_bursts_.begin(), pending_bursts_.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
-  std::vector<std::pair<double, std::uint64_t>> later;
-  std::vector<std::uint64_t> service_ids;
-  service_ids.reserve(services_.size());
-  for (const auto& [id, members] : services_) service_ids.push_back(id);
-  for (const auto& [at, count] : pending_bursts_) {
-    if (at > window_end.value) {
-      later.emplace_back(at, count);
-      continue;
-    }
+  constexpr auto at_of = [](const auto& burst) { return burst.first; };
+  std::ranges::stable_sort(pending_bursts_, {}, at_of);
+  const auto due_end =
+      std::ranges::upper_bound(pending_bursts_, window_end.value, {}, at_of);
+  // dispatch() neither adds nor erases services, so these stay valid.
+  std::vector<std::vector<Replica>*> service_members;
+  for (auto& [id, members] : services_) service_members.push_back(&members);
+  for (auto it = pending_bursts_.begin(); it != due_end; ++it) {
+    const auto& [at, count] = *it;
     const Seconds when{std::max(at, t0)};
-    if (service_ids.empty()) {
+    if (service_members.empty()) {
       // Nothing placed yet: the burst lands on an empty fleet.
       stats_.generated += count;
       stats_.dropped_unroutable += count;
@@ -261,19 +229,19 @@ void ServeLayer::advance(Seconds window_end, Seconds window) {
       continue;
     }
     for (std::uint64_t k = 0; k < count; ++k) {
-      dispatch(service_ids[burst_rr_++ % service_ids.size()], when);
+      dispatch(*service_members[burst_rr_++ % service_members.size()], when);
     }
   }
-  pending_bursts_ = std::move(later);
+  pending_bursts_.erase(pending_bursts_.begin(), due_end);
 
   // Open-loop Poisson per service, thinned against the diurnal shape.
   // Services iterate in ascending id so the Rng consumption order is a
   // pure function of state (the determinism contract).
   const double peak = std::max(config_.diurnal.peak_factor, 1e-9);
-  for (const auto& [service, members] : services_) {
+  for (auto& [service, members] : services_) {
     double vcpus = 0.0;
-    for (std::uint64_t id : members) {
-      vcpus += static_cast<double>(replicas_.at(id).request.vcpus);
+    for (const Replica& replica : members) {
+      vcpus += static_cast<double>(replica.request.vcpus);
     }
     const double rate = config_.requests_per_vcpu_hz * vcpus;
     if (rate <= 0.0) continue;
@@ -283,13 +251,15 @@ void ServeLayer::advance(Seconds window_end, Seconds window) {
       if (t >= window_end.value) break;
       const double factor =
           trace::diurnal_factor(config_.diurnal, Seconds{t});
-      if (rng_.uniform() * peak <= factor) dispatch(service, Seconds{t});
+      if (rng_.uniform() * peak <= factor) dispatch(members, Seconds{t});
     }
   }
 
   std::uint64_t completed = 0;
-  for (auto& [id, replica] : replicas_) {
-    completed += replica.queue.drain(window_end);
+  for (auto& [service, members] : services_) {
+    for (Replica& replica : members) {
+      completed += replica.queue.drain(window_end);
+    }
   }
   stats_.completed += completed;
   metrics().completed.add(completed);
@@ -298,8 +268,10 @@ void ServeLayer::advance(Seconds window_end, Seconds window) {
 
 std::size_t ServeLayer::outstanding() const {
   std::size_t total = 0;
-  for (const auto& [id, replica] : replicas_) {
-    total += replica.queue.outstanding();
+  for (const auto& [service, members] : services_) {
+    for (const Replica& replica : members) {
+      total += replica.queue.outstanding();
+    }
   }
   return total;
 }

@@ -22,8 +22,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
-#include <queue>
 #include <vector>
 
 #include "common/rng.h"
@@ -47,7 +47,9 @@ struct ServeConfig {
   /// VMs hash into this many replicated services (`vm_id % groups`);
   /// <= 1 gives every VM its own single-replica service.
   int replica_groups{8};
-  /// Per-VM outstanding-request cap; arrivals beyond it are shed.
+  /// Per-VM cap on requests the tick-end drain has not yet retired,
+  /// finished or not; arrivals beyond it are shed. With 60 s ticks it
+  /// bounds admissions per VM per tick, not concurrent requests.
   std::size_t queue_cap{512};
   /// Latency SLO per SLA class (best-effort carries no SLO).
   Seconds slo_standard{Seconds{0.5}};
@@ -107,8 +109,8 @@ class VcpuQueue {
   /// unchanged — a stall gates the *next* dispatches.
   void stall(Seconds at, Seconds duration);
 
-  /// Retires requests whose completion is at or before `now`; returns
-  /// how many completed.
+  /// Retires requests whose completion is at or before `now` in one
+  /// sweep; returns how many completed.
   std::uint64_t drain(Seconds now);
 
   std::size_t outstanding() const { return in_flight_.size(); }
@@ -117,9 +119,8 @@ class VcpuQueue {
   Seconds backlog(Seconds now) const;
 
  private:
-  std::vector<double> free_at_;  // per-server busy horizon (seconds)
-  std::priority_queue<double, std::vector<double>, std::greater<>>
-      in_flight_;  // outstanding completion times
+  std::vector<double> free_at_;    // per-server busy horizon (seconds)
+  std::vector<double> in_flight_;  // outstanding completions, unordered
   std::size_t cap_;
 };
 
@@ -127,10 +128,28 @@ class VcpuQueue {
 /// smallest backlog wins, ties break to the lowest VM id.
 class ReplicaBalancer {
  public:
-  /// `backlogs` pairs each live member VM id with its current backlog;
-  /// returns the chosen VM id (0 if empty — callers never pass empty).
-  static std::uint64_t route(
-      const std::vector<std::pair<std::uint64_t, Seconds>>& backlogs);
+  /// `members` are one service's replicas in ascending VM id and
+  /// `queue_of` projects a member to its VcpuQueue. Returns the position
+  /// of the least-backlog member at `now`, ties to the lowest (0 if
+  /// empty). The scan stops at the first backlog of exactly 0: an idle
+  /// queue's is +0.0, a busy one's positive (`h > t` implies `h - t > 0`
+  /// for finite doubles), and every later zero has a higher id.
+  template <typename Members, typename QueueOf = std::identity>
+  static std::size_t route(const Members& members, Seconds now,
+                           QueueOf queue_of = {}) {
+    std::size_t best = 0;
+    double best_backlog = 0.0;
+    for (std::size_t pos = 0; pos < members.size(); ++pos) {
+      const double backlog =
+          std::invoke(queue_of, members[pos]).backlog(now).value;
+      if (backlog == 0.0) return pos;
+      if (pos == 0 || backlog < best_backlog) {
+        best = pos;
+        best_backlog = backlog;
+      }
+    }
+    return best;
+  }
 };
 
 /// The serving layer the cloud control loop drives. One instance per
@@ -177,16 +196,19 @@ class ServeLayer {
   };
 
   std::uint64_t service_of(std::uint64_t vm_id) const;
+  /// The replica of `vm_id`, or nullptr if it is not placed.
+  Replica* find_replica(std::uint64_t vm_id);
   /// Service-time multiplier from the node's current V-F-R point and
   /// the VM's workload signature.
   double speed_factor(const Replica& replica) const;
-  void dispatch(std::uint64_t service, Seconds arrival);
-  void drop_vm(std::uint64_t vm_id);
+  /// Routes one request across a service's (non-empty) members.
+  void dispatch(std::vector<Replica>& members, Seconds arrival);
 
   ServeConfig config_;
   Rng rng_;
-  std::map<std::uint64_t, Replica> replicas_;       // by VM id
-  std::map<std::uint64_t, std::vector<std::uint64_t>> services_;
+  /// Service id -> its replicas, sorted by VM id; a service is erased
+  /// with its last replica, so every listed vector is non-empty.
+  std::map<std::uint64_t, std::vector<Replica>> services_;
   std::vector<std::pair<double, std::uint64_t>> pending_bursts_;
   std::uint64_t burst_rr_{0};  // round-robin cursor across services
   ServeStats stats_;

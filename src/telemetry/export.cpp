@@ -119,27 +119,26 @@ std::string to_json(const MetricsRegistry& registry,
 }
 
 CsvWriter metrics_csv(const MetricsRegistry& registry) {
-  // p999, min and max follow the original nine columns so column-index
-  // consumers of older snapshots keep working.
-  CsvWriter csv({"metric", "type", "unit", "value", "count", "sum", "p50",
-                 "p95", "p99", "p999", "min", "max"});
+  // p999, min, max and invalid follow the original nine columns so
+  // column-index consumers of older snapshots keep working.
+  const std::vector<std::string> header{
+      "metric", "type", "unit", "value", "count", "sum", "p50",
+      "p95", "p99", "p999", "min", "max", "invalid"};
+  CsvWriter csv(header);
   for (const MetricSample& sample : registry.snapshot()) {
+    std::vector<std::string> row{sample.meta.name, to_string(sample.meta.type),
+                                 sample.meta.unit,
+                                 format_double(sample.value, 10)};
     if (sample.meta.type == MetricType::kHistogram) {
-      csv.add_row({sample.meta.name, to_string(sample.meta.type),
-                   sample.meta.unit, format_double(sample.value, 10),
-                   std::to_string(sample.count),
-                   format_double(sample.sum, 10),
-                   format_double(sample.p50, 10),
-                   format_double(sample.p95, 10),
-                   format_double(sample.p99, 10),
-                   format_double(sample.p999, 10),
-                   format_double(sample.min, 10),
-                   format_double(sample.max, 10)});
-    } else {
-      csv.add_row({sample.meta.name, to_string(sample.meta.type),
-                   sample.meta.unit, format_double(sample.value, 10), "", "",
-                   "", "", "", "", "", ""});
+      row.push_back(std::to_string(sample.count));
+      for (double v : {sample.sum, sample.p50, sample.p95, sample.p99,
+                       sample.p999, sample.min, sample.max}) {
+        row.push_back(format_double(v, 10));
+      }
+      row.push_back(std::to_string(sample.invalid));
     }
+    row.resize(header.size());  // histogram-only cells empty otherwise
+    csv.add_row(row);
   }
   return csv;
 }

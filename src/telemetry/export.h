@@ -21,7 +21,7 @@ std::string to_json(const MetricsRegistry& registry,
                     const TraceBuffer* tracer = nullptr);
 
 /// Metric snapshot as CSV rows:
-/// metric,type,unit,value,count,sum,p50,p95,p99,p999,min,max
+/// metric,type,unit,value,count,sum,p50,p95,p99,p999,min,max,invalid
 /// (histogram-only cells empty for counters/gauges).
 CsvWriter metrics_csv(const MetricsRegistry& registry);
 

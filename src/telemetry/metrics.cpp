@@ -246,6 +246,16 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
   return samples;
 }
 
+std::vector<std::pair<std::string, std::uint64_t>>
+MetricsRegistry::counter_values() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<std::pair<std::string, std::uint64_t>> values;
+  for (const auto& [name, slot] : slots_) {
+    if (slot.counter) values.emplace_back(name, slot.counter->value());
+  }
+  return values;
+}
+
 void MetricsRegistry::reset_values() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [name, slot] : slots_) {

@@ -26,6 +26,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/annotations.h"
@@ -162,6 +163,10 @@ class MetricsRegistry {
 
   /// All metrics, sorted by name.
   std::vector<MetricSample> snapshot() const;
+
+  /// Counter values only, sorted by name: no histogram percentiles are
+  /// computed, so per-step readers stay cheap.
+  std::vector<std::pair<std::string, std::uint64_t>> counter_values() const;
 
   /// Zeroes every metric but keeps all registrations (and therefore
   /// every reference handed out) valid. Registrations are never

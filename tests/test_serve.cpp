@@ -3,13 +3,20 @@
 // Covers the three serve primitives against closed forms and
 // determinism contracts — the virtual-time vCPU queue against M/M/1,
 // the replica balancer's tie-breaking, the layer's conservation
-// books — plus the fuzz integration: replay v3 round-trips, v2 files
-// still parse, request-burst campaigns stay digest-invariant across
-// --jobs, and the serve-slo oracle's balance helper.
+// books — with the early-stopping router and the sweep drain each
+// checked against a slow reference (copy-then-scan routing, a
+// min-heap of completions), plus the fuzz integration: replay v3
+// round-trips, v2 files still parse, request-burst campaigns stay
+// digest-invariant across --jobs, and the serve-slo oracle's balance
+// helper.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
@@ -105,16 +112,229 @@ TEST(VcpuQueue, MatchesMM1ClosedFormMeanSojourn) {
       << "mean sojourn " << mean << " vs closed form " << expected;
 }
 
+// Reference VcpuQueue: the same servers, with outstanding completions
+// in a min-heap popped one at a time by drain().
+class ReferenceQueue {
+ public:
+  ReferenceQueue(int vcpus, std::size_t cap)
+      : free_at_(static_cast<std::size_t>(std::max(1, vcpus)), 0.0),
+        cap_(std::max<std::size_t>(1, cap)) {}
+
+  serve::VcpuQueue::Offer offer(Seconds arrival, Seconds service) {
+    serve::VcpuQueue::Offer offer;
+    if (in_flight_.size() >= cap_) return offer;
+    const auto best = std::min_element(free_at_.begin(), free_at_.end());
+    const double completion =
+        std::max(arrival.value, *best) + std::max(0.0, service.value);
+    *best = completion;
+    in_flight_.push(completion);
+    offer.admitted = true;
+    offer.completion = Seconds{completion};
+    offer.latency = Seconds{completion - arrival.value};
+    return offer;
+  }
+
+  void stall(Seconds at, Seconds duration) {
+    for (double& horizon : free_at_) {
+      horizon = std::max(horizon, at.value) + std::max(0.0, duration.value);
+    }
+  }
+
+  std::uint64_t drain(Seconds now) {
+    std::uint64_t completed = 0;
+    while (!in_flight_.empty() && in_flight_.top() <= now.value) {
+      in_flight_.pop();
+      ++completed;
+    }
+    return completed;
+  }
+
+  std::size_t outstanding() const { return in_flight_.size(); }
+
+ private:
+  std::vector<double> free_at_;
+  std::priority_queue<double, std::vector<double>, std::greater<>>
+      in_flight_;
+  std::size_t cap_;
+};
+
+TEST(VcpuQueue, SweepDrainMatchesMinHeapReference) {
+  Rng rng(2024);
+  int sheds = 0;
+  int exact_drains = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const int vcpus = static_cast<int>(rng.uniform_int(1, 8));
+    const auto cap = static_cast<std::size_t>(rng.uniform_int(1, 48));
+    serve::VcpuQueue fast(vcpus, cap);
+    ReferenceQueue reference(vcpus, cap);
+    std::vector<double> completions;
+    double now = 0.0;
+    for (int step = 0; step < 400; ++step) {
+      const double roll = rng.uniform();
+      if (roll < 0.75) {
+        // Service times on a coarse grid so completions collide.
+        const Seconds arrival{now + 0.25 * rng.uniform_int(0, 4)};
+        const Seconds service{0.5 * rng.uniform_int(0, 6)};
+        const auto a = fast.offer(arrival, service);
+        const auto b = reference.offer(arrival, service);
+        ASSERT_EQ(a.admitted, b.admitted) << "trial " << trial;
+        ASSERT_EQ(a.completion.value, b.completion.value);
+        ASSERT_EQ(a.latency.value, b.latency.value);
+        if (a.admitted) completions.push_back(a.completion.value);
+        sheds += !a.admitted;
+      } else if (roll < 0.8) {
+        const Seconds at{now + rng.uniform(0.0, 2.0)};
+        const Seconds duration{rng.uniform(0.0, 4.0)};
+        fast.stall(at, duration);
+        reference.stall(at, duration);
+      } else {
+        // Drain at a handed-out completion half the time, so some
+        // completions equal `now` exactly.
+        if (!completions.empty() && rng.bernoulli(0.5)) {
+          const double at = completions[rng.uniform_u64(completions.size())];
+          exact_drains += at >= now;
+          now = std::max(now, at);
+        } else {
+          now += rng.uniform(0.0, 3.0);
+        }
+        ASSERT_EQ(fast.drain(Seconds{now}), reference.drain(Seconds{now}))
+            << "trial " << trial << " step " << step;
+      }
+      ASSERT_EQ(fast.outstanding(), reference.outstanding());
+    }
+  }
+  // The cap shed arrivals and drains landed on completions exactly.
+  EXPECT_GT(sheds, 1000);
+  EXPECT_GT(exact_drains, 500);
+}
+
 // -- ReplicaBalancer ---------------------------------------------------
 
+// Reference router: copy every member's (id, backlog) and scan for the
+// minimum backlog, ties to the lowest id, in any listing order.
+std::uint64_t reference_route(
+    const std::vector<std::pair<std::uint64_t, Seconds>>& backlogs) {
+  std::uint64_t best_id = 0;
+  double best_backlog = 0.0;
+  bool first = true;
+  for (const auto& [id, backlog] : backlogs) {
+    if (first || backlog.value < best_backlog ||
+        (backlog.value == best_backlog && id < best_id)) {
+      best_id = id;
+      best_backlog = backlog.value;
+      first = false;
+    }
+  }
+  return best_id;
+}
+
+// One-vCPU queues, in ascending-id order, whose backlog at t = 0 is
+// the given busy time.
+std::vector<serve::VcpuQueue> queues_with_backlogs(
+    const std::vector<double>& backlogs) {
+  std::vector<serve::VcpuQueue> queues;
+  for (double backlog : backlogs) {
+    queues.emplace_back(1, 16);
+    if (backlog > 0.0) queues.back().offer(Seconds{0.0}, Seconds{backlog});
+  }
+  return queues;
+}
+
 TEST(ReplicaBalancer, LeastBacklogWinsTiesToLowestId) {
-  EXPECT_EQ(serve::ReplicaBalancer::route(
+  EXPECT_EQ(reference_route(
                 {{7, Seconds{2.0}}, {3, Seconds{0.5}}, {9, Seconds{1.0}}}),
             3u);
   // Exact tie: the lowest VM id wins regardless of listing order.
-  EXPECT_EQ(serve::ReplicaBalancer::route(
+  EXPECT_EQ(reference_route(
                 {{9, Seconds{1.0}}, {4, Seconds{1.0}}, {6, Seconds{1.0}}}),
             4u);
+  // The same two services, members in ascending id (3, 7, 9 and
+  // 4, 6, 9): the router returns a position.
+  EXPECT_EQ(serve::ReplicaBalancer::route(
+                queues_with_backlogs({0.5, 2.0, 1.0}), Seconds{0.0}),
+            0u);
+  EXPECT_EQ(serve::ReplicaBalancer::route(
+                queues_with_backlogs({1.0, 1.0, 1.0}), Seconds{0.0}),
+            0u);
+  EXPECT_EQ(serve::ReplicaBalancer::route(
+                queues_with_backlogs({2.0, 1.5, 1.0, 1.0}), Seconds{0.0}),
+            2u);
+  // The first idle member wins, ahead of a later idle one.
+  EXPECT_EQ(serve::ReplicaBalancer::route(
+                queues_with_backlogs({2.0, 0.0, 1.0, 0.0}), Seconds{0.0}),
+            1u);
+}
+
+TEST(ReplicaBalancer, EarlyStopMatchesReferenceScan) {
+  Rng rng(77);
+  int idle_picks = 0;
+  int all_busy = 0;
+  int busy_ties = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 64));
+    std::vector<std::uint64_t> ids;
+    std::uint64_t id = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      id += static_cast<std::uint64_t>(rng.uniform_int(1, 9));
+      ids.push_back(id);
+    }
+    // Every third trial makes every member busy at the routing time.
+    const bool force_busy = trial % 3 == 0;
+    std::vector<serve::VcpuQueue> queues;
+    std::vector<double> horizons;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i > 0 && rng.bernoulli(0.2)) {
+        // A copy of the previous member: an equal backlog.
+        queues.push_back(queues.back());
+        continue;
+      }
+      queues.emplace_back(static_cast<int>(rng.uniform_int(1, 8)), 64);
+      const auto offers = rng.uniform_int(0, 12);
+      for (std::int64_t k = 0; k < offers; ++k) {
+        const auto offer = queues.back().offer(
+            Seconds{0.5 * rng.uniform_int(0, 8)},
+            Seconds{0.5 * rng.uniform_int(0, 10)});
+        horizons.push_back(offer.completion.value);
+      }
+      if (rng.bernoulli(0.2)) {
+        queues.back().stall(Seconds{rng.uniform(0.0, 4.0)},
+                            Seconds{rng.uniform(0.0, 6.0)});
+      }
+      if (force_busy) queues.back().stall(Seconds{10.0}, Seconds{1.0});
+    }
+    // Route at a handed-out completion (an arrival equal to a busy
+    // horizon) about half the time.
+    const double t =
+        force_busy ? 10.0
+        : !horizons.empty() && rng.bernoulli(0.5)
+            ? horizons[rng.uniform_u64(horizons.size())]
+            : rng.uniform(0.0, 8.0);
+    std::vector<std::pair<std::uint64_t, Seconds>> backlogs;
+    for (std::size_t i = 0; i < n; ++i) {
+      backlogs.emplace_back(ids[i], queues[i].backlog(Seconds{t}));
+    }
+    rng.shuffle(backlogs);
+    const std::size_t pos =
+        serve::ReplicaBalancer::route(queues, Seconds{t});
+    ASSERT_LT(pos, n);
+    ASSERT_EQ(ids[pos], reference_route(backlogs))
+        << "trial " << trial << " at t=" << t;
+
+    const double picked = queues[pos].backlog(Seconds{t}).value;
+    if (picked == 0.0) {
+      ++idle_picks;
+    } else {
+      ++all_busy;
+      busy_ties += static_cast<int>(std::count_if(
+                       queues.begin(), queues.end(), [&](const auto& q) {
+                         return q.backlog(Seconds{t}).value == picked;
+                       })) > 1;
+    }
+  }
+  // Both routing branches and busy ties were exercised.
+  EXPECT_GT(idle_picks, 500);
+  EXPECT_GT(all_busy, 500);
+  EXPECT_GT(busy_ties, 50);
 }
 
 // -- ServeLayer --------------------------------------------------------

@@ -80,6 +80,29 @@ TEST(MetricsRegistry, SnapshotSortedAndTyped) {
   EXPECT_DOUBLE_EQ(snapshot[2].sum, 5.0);
 }
 
+TEST(MetricsRegistry, CounterValuesListCountersOnlyInNameOrder) {
+  MetricsRegistry registry;
+  registry.counter("z.counter").add(9);
+  registry.gauge("b.gauge").set(2.5);
+  registry.counter("a.counter").add(4);
+  registry.histogram("c.hist").record(5.0);
+
+  const auto values = registry.counter_values();
+  ASSERT_EQ(values.size(), 2u);
+  EXPECT_EQ(values[0].first, "a.counter");
+  EXPECT_EQ(values[0].second, 4u);
+  EXPECT_EQ(values[1].first, "z.counter");
+  EXPECT_EQ(values[1].second, 9u);
+  // The same counters, in the same order, as snapshot() reports.
+  std::vector<std::pair<std::string, std::uint64_t>> from_snapshot;
+  for (const auto& sample : registry.snapshot()) {
+    if (sample.meta.type != MetricType::kCounter) continue;
+    from_snapshot.emplace_back(sample.meta.name,
+                               static_cast<std::uint64_t>(sample.value));
+  }
+  EXPECT_EQ(values, from_snapshot);
+}
+
 TEST(MetricsRegistry, ResetValuesKeepsRegistrationsValid) {
   MetricsRegistry registry;
   Counter& counter = registry.counter("n.count");
@@ -466,19 +489,22 @@ TEST(Exporters, MetricsCsvRoundTrip) {
 
 TEST(Exporters, ClampFieldsSurfaceInJsonAndCsv) {
   // Every percentile is clamped to the observed [min, max], and both
-  // bounds are exported next to the percentiles.
+  // bounds are exported next to the percentiles, as is the tally of
+  // rejected non-finite samples.
   MetricsRegistry registry;
   registry.counter("c.count", "events").add(1);
   Histogram& hist = registry.histogram("c.lat", "us");
   hist.record(-2.0);
   hist.record(50.0);
   hist.record(700.0);
+  hist.record(std::nan(""));
 
   const std::string json = telemetry::to_json(registry, nullptr);
   EXPECT_TRUE(json_balanced(json)) << json;
   EXPECT_NE(json.find("\"min\": -2"), std::string::npos) << json;
   EXPECT_NE(json.find("\"max\": 700"), std::string::npos) << json;
   EXPECT_NE(json.find("\"p999\": 700"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"invalid\": 1"), std::string::npos) << json;
 
   std::vector<std::vector<std::string>> rows;
   std::istringstream stream(telemetry::metrics_csv(registry).str());
@@ -491,22 +517,26 @@ TEST(Exporters, ClampFieldsSurfaceInJsonAndCsv) {
     rows.push_back(cells);
   }
   ASSERT_EQ(rows.size(), 3u);  // header + counter + histogram
-  // The original nine columns keep their positions; min/max follow.
-  ASSERT_EQ(rows[0].size(), 12u);
+  // The original nine columns keep their positions; min/max/invalid
+  // follow.
+  ASSERT_EQ(rows[0].size(), 13u);
   EXPECT_EQ(rows[0][9], "p999");
   EXPECT_EQ(rows[0][10], "min");
   EXPECT_EQ(rows[0][11], "max");
-  ASSERT_EQ(rows[2].size(), 12u);
+  EXPECT_EQ(rows[0][12], "invalid");
+  ASSERT_EQ(rows[2].size(), 13u);
   EXPECT_EQ(rows[2][0], "c.lat");
+  EXPECT_EQ(rows[2][4], "3");                       // finite samples
   EXPECT_DOUBLE_EQ(std::stod(rows[2][10]), -2.0);   // observed min
   EXPECT_DOUBLE_EQ(std::stod(rows[2][11]), 700.0);  // observed max
+  EXPECT_EQ(rows[2][12], "1");                      // the NaN
   // Non-histogram rows pad the appended columns too. The trailing
   // empties collapse under this simple split, so count separators.
   ASSERT_GE(rows[1].size(), 4u);
   EXPECT_EQ(rows[1][0], "c.count");
   std::istringstream raw(telemetry::metrics_csv(registry).str());
   while (std::getline(raw, line)) {
-    EXPECT_EQ(std::count(line.begin(), line.end(), ','), 11) << line;
+    EXPECT_EQ(std::count(line.begin(), line.end(), ','), 12) << line;
   }
 }
 
