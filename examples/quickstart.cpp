@@ -62,7 +62,7 @@ int main() {
       return 1;
     }
   }
-  const auto aggregate = node.hypervisor().healthlog().aggregate(0_s);
+  const auto aggregate = node.hypervisor().healthlog().aggregate();
   std::printf("1 h at EOP: %llu correctable errors masked, mean power "
               "%.1f W, %zu monitoring vectors logged\n",
               static_cast<unsigned long long>(masked),

@@ -55,20 +55,26 @@ const char* to_string(Severity severity) {
 HealthLog::HealthLog(Config config) : config_(config) {}
 
 void HealthLog::record(const InfoVector& vector) {
-  vectors_.push_back(vector);
-  while (vectors_.size() > config_.capacity) vectors_.pop_front();
+  ++sums_.vectors;
+  sums_.correctable_errors += vector.correctable_errors;
+  sums_.uncorrectable_errors += vector.uncorrectable_errors;
+  sums_.power_w +=
+      vector.sensors.package_power.value + vector.sensors.memory_power.value;
+  sums_.temp_c += vector.sensors.temperature.value;
+  sums_.ipc += vector.ipc;
+  sums_.utilization += vector.utilization;
   metrics().vectors.add();
 }
 
 void HealthLog::clear() {
-  vectors_.clear();
+  sums_ = Sums{};
   errors_.clear();
   last_trigger_ = Seconds{-1e18};
 }
 
 void HealthLog::record_error(const ErrorEvent& event) {
   errors_.push_back(event);
-  while (errors_.size() > config_.capacity) errors_.pop_front();
+  while (errors_.size() > kRetainedErrors) errors_.pop_front();
   if (event.severity == Severity::kCorrectable) {
     ++total_correctable_;
     metrics().correctable.add();
@@ -76,6 +82,7 @@ void HealthLog::record_error(const ErrorEvent& event) {
     ++total_uncorrectable_;
     metrics().uncorrectable.add();
   }
+  if (event.severity == Severity::kCrash) ++sums_.crash_events;
   for (const auto& listener : error_listeners_) listener(event);
 
   if (threshold_exceeded(event.timestamp)) {
@@ -104,35 +111,15 @@ void HealthLog::subscribe_recharacterize(RecharacterizeListener listener) {
   recharacterize_listeners_.push_back(std::move(listener));
 }
 
-InfoVector HealthLog::latest() const {
-  if (vectors_.empty()) return InfoVector{};
-  return vectors_.back();
-}
-
-HealthLog::Aggregate HealthLog::aggregate(Seconds since) const {
-  Aggregate aggregate;
-  double power = 0.0;
-  double temp = 0.0;
-  double ipc = 0.0;
-  for (const auto& vector : vectors_) {
-    if (vector.timestamp < since) continue;
-    ++aggregate.vectors;
-    aggregate.correctable_errors += vector.correctable_errors;
-    aggregate.uncorrectable_errors += vector.uncorrectable_errors;
-    power += vector.sensors.package_power.value +
-             vector.sensors.memory_power.value;
-    temp += vector.sensors.temperature.value;
-    ipc += vector.ipc;
-  }
-  if (aggregate.vectors > 0) {
-    const auto n = static_cast<double>(aggregate.vectors);
-    aggregate.mean_power_w = power / n;
-    aggregate.mean_temp_c = temp / n;
-    aggregate.mean_ipc = ipc / n;
-  }
-  for (const auto& event : errors_) {
-    if (event.timestamp < since) continue;
-    if (event.severity == Severity::kCrash) ++aggregate.crash_events;
+HealthLog::Aggregate HealthLog::aggregate() const {
+  Aggregate aggregate{sums_.vectors, sums_.correctable_errors,
+                      sums_.uncorrectable_errors, sums_.crash_events};
+  if (sums_.vectors > 0) {
+    const auto n = static_cast<double>(sums_.vectors);
+    aggregate.mean_power_w = sums_.power_w / n;
+    aggregate.mean_temp_c = sums_.temp_c / n;
+    aggregate.mean_ipc = sums_.ipc / n;
+    aggregate.mean_utilization = sums_.utilization / n;
   }
   return aggregate;
 }

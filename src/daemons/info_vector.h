@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "common/units.h"
 #include "hwmodel/eop.h"
@@ -41,7 +40,6 @@ struct InfoVector {
   double utilization{0.0};
   std::uint64_t correctable_errors{0};
   std::uint64_t uncorrectable_errors{0};
-  std::string source{"healthlog"};
 };
 
 }  // namespace uniserver::daemons

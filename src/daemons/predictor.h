@@ -86,10 +86,6 @@ class Predictor {
                 const std::vector<hw::Eop>& candidates,
                 double risk_budget) const;
 
-  const std::array<double, PredictorFeatures::kDim + 1>& weights() const {
-    return weights_;
-  }
-
  private:
   /// weights_[0] is the bias.
   std::array<double, PredictorFeatures::kDim + 1> weights_{};

@@ -7,8 +7,8 @@
 // self-describing snapshot: the operating point, how much of the
 // characterized margin is in use, live error statistics from the
 // HealthLog, the Predictor's risk estimate for the current conditions
-// and the isolation state. Also serializes to the same key=value line
-// format as the logfile, so existing log shippers carry it.
+// and the isolation state. Also serializes to one key=value line, so
+// existing log shippers carry it.
 #pragma once
 
 #include <string>
@@ -55,13 +55,5 @@ NodeStatus collect_status(const hw::ServerNode& node,
 
 /// One-line key=value serialization ("ST ..." records).
 std::string serialize(const NodeStatus& status);
-
-/// Machine-readable companion to serialize(): the process-wide
-/// telemetry snapshot (metric registry + trace ring) as a JSON
-/// document. This is the "extended monitoring interface" upper layers
-/// scrape when one ST line is not enough; `uniserver_ctl
-/// --telemetry-out <path>` writes exactly this. Schema:
-/// docs/OBSERVABILITY.md.
-std::string telemetry_snapshot_json();
 
 }  // namespace uniserver::daemons

@@ -128,7 +128,6 @@ SafeMargins StressLog::run_cycle(const hw::ServerNode& node,
     vector.timestamp = now;
     vector.eop = node.eop();
     vector.correctable_errors = margins.ecc_events_observed;
-    vector.source = "stresslog";
     health->record(vector);
   }
 

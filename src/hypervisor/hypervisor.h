@@ -55,8 +55,8 @@ struct HvConfig {
   /// Fraction of CPU time spent in hypervisor context (a CPU SDC lands
   /// in hypervisor state with this probability, in a guest otherwise).
   double hv_cpu_time_share{0.05};
-  /// HealthLog configuration (error-rate threshold, re-characterization
-  /// cooldown, logfile capacity).
+  /// HealthLog configuration (error-rate threshold, rate window,
+  /// re-characterization cooldown).
   daemons::HealthLog::Config healthlog{};
   /// Periodic VM checkpointing: a guest killed by an SDC is restored
   /// from its last checkpoint instead of being lost (the "transparently

@@ -145,8 +145,8 @@ void Cloud::inject_daemon_restart(int node_index) {
     return;
   }
   ComputeNode* node = nodes_[static_cast<std::size_t>(node_index)].get();
-  // The restarted daemon begins from an empty logfile, so the predictor
-  // history built from its stream restarts too.
+  // The restarted daemon begins from an empty HealthLog, so the
+  // predictor history built from its stream restarts too.
   node->hypervisor().healthlog().clear();
   outboxes_[node->slot()].errors.clear();
   predictor_.reset(node->slot());

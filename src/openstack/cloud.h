@@ -148,7 +148,7 @@ class Cloud {
 
   /// Restarts a node's monitoring daemons: the in-memory HealthLog and
   /// the predictor's history for the node are wiped (the restarted
-  /// daemon starts from an empty logfile, paper §3.C).
+  /// daemon starts from an empty HealthLog, paper §3.C).
   void inject_daemon_restart(int node_index);
 
   // -- evacuation storms ----------------------------------------------

@@ -139,7 +139,7 @@ TEST(UniServerNodeTest, StepAdvancesTimeAndLogs) {
   node.hypervisor().create_vm(vm);
   for (int i = 0; i < 10; ++i) node.step(60_s);
   EXPECT_NEAR(node.now().value, 600.0, 1e-9);
-  EXPECT_EQ(node.hypervisor().healthlog().vectors().size(), 10u);
+  EXPECT_EQ(node.hypervisor().healthlog().aggregate().vectors, 10u);
 }
 
 TEST(SecurityAnalyzerTest, NominalOperationHasNoThreats) {

@@ -298,15 +298,29 @@ TEST(CloudCrashInjectionTest, DaemonRestartWipesHealthHistory) {
   event.severity = daemons::Severity::kCorrectable;
   log.record_error(event);
   nodes[1]->hypervisor().healthlog().record_error(event);
-  ASSERT_FALSE(log.errors().empty());
-  const std::uint64_t total = log.total_correctable();
+  daemons::InfoVector vector;
+  vector.timestamp = Seconds{10.0};
+  vector.correctable_errors = 1;
+  log.record(vector);
+  log.record_error({Seconds{10.0}, daemons::Component::kCore,
+                    daemons::Severity::kCrash, 0});
+  ASSERT_EQ(log.aggregate().vectors, 1u);
+  ASSERT_EQ(log.aggregate().crash_events, 1u);
+  ASSERT_GT(log.error_rate_per_s(Seconds{10.0}), 0.0);
+  const std::uint64_t correctable = log.total_correctable();
+  const std::uint64_t uncorrectable = log.total_uncorrectable();
 
   cloud->inject_daemon_restart(0);
-  // The in-memory logfile is gone; lifetime totals survive the restart
-  // (they live with the metrics pipeline, not the daemon).
-  EXPECT_TRUE(log.errors().empty());
-  EXPECT_TRUE(log.vectors().empty());
-  EXPECT_EQ(log.total_correctable(), total);
+  // The daemon's aggregate and recent events are gone; lifetime totals
+  // survive the restart (they live with the metrics pipeline, not the
+  // daemon).
+  const auto aggregate = log.aggregate();
+  EXPECT_EQ(aggregate.vectors, 0u);
+  EXPECT_EQ(aggregate.correctable_errors, 0u);
+  EXPECT_EQ(aggregate.crash_events, 0u);
+  EXPECT_EQ(log.error_rate_per_s(Seconds{10.0}), 0.0);
+  EXPECT_EQ(log.total_correctable(), correctable);
+  EXPECT_EQ(log.total_uncorrectable(), uncorrectable);
 
   // The predictor forgot node 0's pre-restart event too; node 1's
   // still reaches it at the next tick.

@@ -105,7 +105,10 @@ TEST(StressLog, HealthLogObservesTheCycle) {
   // correctable events which land in the HealthLog.
   EXPECT_GT(margins.ecc_events_observed, 0u);
   EXPECT_EQ(health.total_correctable(), margins.ecc_events_observed);
-  EXPECT_EQ(health.latest().source, "stresslog");
+  // The cycle's summary vector carries the same tally.
+  EXPECT_EQ(health.aggregate().vectors, 1u);
+  EXPECT_EQ(health.aggregate().correctable_errors,
+            margins.ecc_events_observed);
 }
 
 TEST(SafeMarginsTest, PointForPicksNearestFrequency) {
